@@ -31,9 +31,7 @@ int main(int argc, char** argv) {
     TreePartition fm_part = flow.partition;
     double fm_cost = 0;
     const double fm_time = bench::TimeSeconds([&] {
-      HtpFmParams p;
-      p.seed = options.seed;
-      fm_cost = RefineHtpFm(fm_part, spec, p).final_cost;
+      fm_cost = RefineHtpFm(fm_part, spec).final_cost;
     });
 
     TreePartition sa_part = flow.partition;

@@ -185,7 +185,7 @@ void BM_HtpFmPass(benchmark::State& state) {
   }
   state.SetComplexityN(state.range(0));
 }
-BENCHMARK(BM_HtpFmPass)->RangeMultiplier(4)->Range(256, 4096)
+BENCHMARK(BM_HtpFmPass)->RangeMultiplier(4)->Range(256, 65536)
     ->Complexity(benchmark::oNLogN)->Unit(benchmark::kMillisecond);
 
 void BM_PartitionCost(benchmark::State& state) {

@@ -47,9 +47,7 @@ int main(int argc, char** argv) {
     } rows[] = {{&gfm, 0, 0}, {&rfm, 0, 0}, {&flow.partition, 0, 0}};
     for (Row& row : rows) {
       const double before = PartitionCost(*row.tp, spec);
-      HtpFmParams hp;
-      hp.seed = options.seed;
-      const HtpFmStats stats = RefineHtpFm(*row.tp, spec, hp);
+      const HtpFmStats stats = RefineHtpFm(*row.tp, spec);
       row.plus = stats.final_cost;
       row.improv = before > 0 ? 100.0 * (before - stats.final_cost) / before
                               : 0.0;

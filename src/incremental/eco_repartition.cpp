@@ -161,7 +161,6 @@ EcoResult RunEcoRepartition(const DeltaApplication& app,
     if (!params.refine) return;
     HtpFmParams fm;
     fm.boundary_only = true;
-    fm.seed = params.flow.seed;
     fm.cancel = cancel;
     RefineHtpFm(candidate, spec, fm);
   };

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <optional>
 #include <queue>
+#include <span>
 
 #include "obs/obs.hpp"
 #include "partition/move_oracle.hpp"
@@ -21,6 +22,10 @@ obs::Counter c_gain_milli("fm.accepted_gain_milli");
 // Nodes seeded into the heap by boundary-only passes; zero unless
 // HtpFmParams::boundary_only is set, so full-pass totals are untouched.
 obs::Counter c_boundary_seeds("fm.boundary_seeds");
+// All-target gain sweeps (HtpMoveOracle::DeltaAll calls): one per BestMove
+// evaluation that is not served by the per-move memo and has a feasible
+// target.
+obs::Counter c_gain_sweeps("fm.gain_sweeps");
 obs::Timer t_refine("fm.refine");
 obs::Timer t_pass("fm.pass");
 
@@ -38,21 +43,49 @@ class Refiner {
  public:
   Refiner(TreePartition& tp, const HierarchySpec& spec)
       : tp_(tp), hg_(tp.hypergraph()), oracle_(tp, spec),
-        leaves_(tp.Leaves()), stamp_(hg_.num_nodes(), 0),
-        locked_(hg_.num_nodes(), 0) {}
+        gains_(oracle_.leaves().size()), feasible_(gains_.size()),
+        stamp_(hg_.num_nodes(), 0), locked_(hg_.num_nodes(), 0),
+        memo_(hg_.num_nodes()) {}
 
   struct Best {
     double gain;
     BlockId target;
   };
-  std::optional<Best> BestMove(NodeId v) const {
-    std::optional<Best> best;
-    for (BlockId leaf : leaves_) {
-      if (leaf == tp_.leaf_of(v) || !oracle_.Feasible(v, leaf)) continue;
-      const double gain = -oracle_.Delta(v, leaf);
-      if (!best || gain > best->gain) best = Best{gain, leaf};
+  // Best feasible move of v: the first leaf (in id order) of maximum gain.
+  // A pure function of the partition, which changes only in Move(), so the
+  // result is memoised until the next move — a node sharing k nets with
+  // the moved one is refreshed k times but evaluated once. The gains come
+  // from one all-target sweep, skipped when no leaf is feasible.
+  std::optional<Best> BestMove(NodeId v) {
+    Memo& memo = memo_[v];
+    if (memo.epoch == epoch_) {
+      if (memo.target == kInvalidBlock) return std::nullopt;
+      return Best{memo.gain, memo.target};
     }
+    const std::span<const BlockId> leaves = oracle_.leaves();
+    oracle_.FeasibleAll(v, feasible_);
+    std::optional<Best> best;
+    if (std::find(feasible_.begin(), feasible_.end(), 1) != feasible_.end()) {
+      oracle_.DeltaAll(v, gains_);
+      ++sweeps_;
+      for (std::size_t i = 0; i < leaves.size(); ++i) {
+        if (!feasible_[i]) continue;
+        const double gain = -gains_[i];
+        if (!best || gain > best->gain) best = Best{gain, leaves[i]};
+      }
+    }
+    memo = {best ? best->gain : 0.0, best ? best->target : kInvalidBlock,
+            epoch_};
     return best;
+  }
+
+  // Applies a move through the oracle and retires every memoised BestMove.
+  void Move(NodeId v, BlockId target) {
+    oracle_.Apply(v, target);
+    if (++epoch_ == 0) {  // wrapped: no stale memo may match
+      for (Memo& memo : memo_) memo.epoch = 0;
+      epoch_ = 1;
+    }
   }
 
   // Marks every node incident to a net spanning >= 2 leaves. One O(pins)
@@ -120,7 +153,7 @@ class Refiner {
       }
       const double gain = -oracle_.Delta(v, entry.target);  // authoritative
       const BlockId from = tp_.leaf_of(v);
-      oracle_.Apply(v, entry.target);
+      Move(v, entry.target);
       locked_[v] = 1;
       log.emplace_back(v, from);
       cum += gain;
@@ -143,22 +176,36 @@ class Refiner {
 
     // Roll back the tail beyond the best prefix.
     for (std::size_t i = log.size(); i > best_len; --i)
-      oracle_.Apply(log[i - 1].first, log[i - 1].second);
+      Move(log[i - 1].first, log[i - 1].second);
     moves_kept += best_len;
     c_moves_applied.Add(log.size());
     c_moves_kept.Add(best_len);
+    c_gain_sweeps.Add(sweeps_);
+    sweeps_ = 0;
     c_gain_milli.Add(
         static_cast<std::uint64_t>(std::llround(best_cum * 1000.0)));
     return best_cum;
   }
 
  private:
+  // BestMove result of one node, valid while `epoch` == epoch_;
+  // target == kInvalidBlock records "no feasible move".
+  struct Memo {
+    double gain = 0.0;
+    BlockId target = kInvalidBlock;
+    std::uint32_t epoch = 0;
+  };
+
   TreePartition& tp_;
   const Hypergraph& hg_;
   HtpMoveOracle oracle_;
-  std::vector<BlockId> leaves_;
+  std::vector<double> gains_;   // DeltaAll output, per leaf
+  std::vector<char> feasible_;  // FeasibleAll output, per leaf
   std::vector<std::uint32_t> stamp_;
   std::vector<char> locked_;
+  std::vector<Memo> memo_;
+  std::uint32_t epoch_ = 1;
+  std::uint64_t sweeps_ = 0;  // DeltaAll calls since the last pass ended
 };
 
 }  // namespace

@@ -41,6 +41,9 @@ struct HtpFmParams {
   /// where almost every node is interior (docs/scaling.md). Deterministic:
   /// the boundary set is a pure function of the current partition.
   bool boundary_only = false;
+  /// Ignored: the refiner is RNG-free. Retained only because the benchmark
+  /// harness (perfbench/src/batch.cpp) still assigns it; new callers should
+  /// not set it.
   std::uint64_t seed = 1;
   /// Cooperative cancellation, polled between passes (a pass always
   /// finishes its best-prefix rollback, so the partition stays valid and

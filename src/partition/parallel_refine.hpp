@@ -31,8 +31,8 @@ namespace htp {
 /// in the degenerate cases (root_level < 2, or fewer than two root
 /// children) where it falls back to RefineHtpFm exactly.
 ///
-/// `params.seed` is unused (the refiner is deterministic); `params.cancel`
-/// is polled by every block's pass loop and by the final global pass.
+/// `params.cancel` is polled by every block's pass loop and by the final
+/// global pass.
 /// Stats: initial/final costs are whole-partition costs; passes and
 /// moves_kept sum over the block runs plus the global pass; `completed` is
 /// the conjunction.

@@ -329,7 +329,6 @@ SessionResult RunSession(const SessionRequest& request, ArtifactCache* cache) {
 
   if (request.refine) {
     HtpFmParams fm_params;
-    fm_params.seed = request.seed;
     fm_params.cancel = run_token;
     result.fm = request.build_threads != 1
                     ? RefineHtpFmBlocks(tp, spec, fm_params,

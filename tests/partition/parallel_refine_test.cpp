@@ -12,6 +12,7 @@
 #include "core/cost.hpp"
 #include "core/htp_flow.hpp"
 #include "netlist/generators.hpp"
+#include "obs/obs.hpp"
 #include "partition/rfm.hpp"
 #include "test_util.hpp"
 
@@ -66,6 +67,33 @@ TEST(ParallelRefine, BitIdenticalForEveryWorkerCount) {
     EXPECT_EQ(stats.moves_kept, ref_stats.moves_kept);
   }
 }
+
+#if HTP_OBS_ENABLED
+std::uint64_t GainSweeps() {
+  for (const obs::CounterValue& c : obs::TakeSnapshot().counters)
+    if (c.name == "fm.gain_sweeps") return c.value;
+  ADD_FAILURE() << "fm.gain_sweeps not in snapshot";
+  return 0;
+}
+
+// fm.gain_sweeps counts work the refiner actually did, so like the result
+// it must not depend on the worker count.
+TEST(ParallelRefine, GainSweepCountIsThreadInvariant) {
+  const Hypergraph hg = MakeIscas85Like("c2670", 3);
+  const HierarchySpec spec = FullBinaryHierarchy(hg.total_size());
+  std::vector<std::uint64_t> sweeps;
+  for (const std::size_t workers :
+       {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+    TreePartition tp = RfmStart(hg, spec, 3);
+    const std::uint64_t before = GainSweeps();
+    RefineHtpFmBlocks(tp, spec, {}, workers);
+    sweeps.push_back(GainSweeps() - before);
+  }
+  EXPECT_GT(sweeps[0], 0u);
+  EXPECT_EQ(sweeps[1], sweeps[0]);
+  EXPECT_EQ(sweeps[2], sweeps[0]);
+}
+#endif
 
 TEST(ParallelRefine, DegenerateShapeFallsBackToPlainRefiner) {
   // Two-level hierarchy: root children ARE the leaves (root_level < 2), so
