@@ -5,6 +5,8 @@
 // mismatch. If a change is *intended* to alter results, update the pinned
 // values in the same commit and say why; bit-identity across thread counts
 // is asserted separately (htp_flow_parallel_test.cpp).
+#include <ostream>
+
 #include <gtest/gtest.h>
 
 #include "core/htp_flow.hpp"
@@ -34,6 +36,12 @@ struct GoldenCase {
   const char* circuit;
   double flow_cost;
 };
+
+// Without this, gtest prints the raw bytes of the case, pointer included, so
+// the listed test name would change with the load address on every run.
+void PrintTo(const GoldenCase& golden, std::ostream* os) {
+  *os << golden.circuit;
+}
 
 class Table2QuickGoldenTest : public ::testing::TestWithParam<GoldenCase> {};
 
