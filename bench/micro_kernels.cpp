@@ -171,6 +171,30 @@ void BM_ViolationScanFullWindow(benchmark::State& state) {
 BENCHMARK(BM_ViolationScanFullWindow)->RangeMultiplier(4)->Range(256, 4096)
     ->Complexity(benchmark::oNSquared)->Unit(benchmark::kMillisecond);
 
+// One clean sweep over every source of a converged Algorithm-2 metric: no
+// source violates, so each growth runs until the oracle certifies that no
+// later prefix can — the growths that dominate a metric computation and
+// that the concave-gap certificate shortens. Serial scanner, so the time is
+// the oracle's work alone; converging the metric is untimed setup.
+void BM_VerifyConvergedMetric(benchmark::State& state) {
+  Hypergraph hg = Circuit(state.range(0));
+  const HierarchySpec spec = FullBinaryHierarchy(hg.total_size(), 3);
+  FlowInjectionParams params;
+  params.threads = 4;
+  const FlowInjectionResult converged =
+      ComputeSpreadingMetric(hg, spec, params);
+  if (!converged.converged) state.SkipWithError("metric did not converge");
+  std::vector<NodeId> candidates(hg.num_nodes());
+  for (NodeId v = 0; v < hg.num_nodes(); ++v) candidates[v] = v;
+  ViolationScanner scanner(hg, spec, 1);
+  for (auto _ : state)
+    benchmark::DoNotOptimize(scanner.FindFirstViolation(
+        candidates, 0, converged.metric, params.tolerance));
+  state.SetComplexityN(state.range(0));
+}
+BENCHMARK(BM_VerifyConvergedMetric)->RangeMultiplier(4)->Range(256, 4096)
+    ->Complexity(benchmark::oNSquared)->Unit(benchmark::kMillisecond);
+
 void BM_HtpFmPass(benchmark::State& state) {
   Hypergraph hg = Circuit(state.range(0));
   const HierarchySpec spec = FullBinaryHierarchy(hg.total_size(), 3);

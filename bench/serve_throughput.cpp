@@ -5,13 +5,15 @@
 // scripts/bench_regression.py gates them as the "serve" section of
 // BENCH_htp.json (docs/benchmarks.md, docs/server.md).
 //
-// The warm run must be at least kMinWarmSpeedup x faster: the spreading
-// metric (the dominant phase; docs/server.md works the numbers) and the
-// CSR lowering are served from cache, leaving only construction and
-// uncoarsening refinement. The bench enforces the floor itself — a cache
-// that silently stops hitting fails the binary, not just the baseline
-// diff — and also re-checks the bit-identity contract: the warm partition
-// must equal the cold one exactly.
+// The warm run must do no Algorithm-2 work at all: the spreading metric
+// (the dominant phase; docs/server.md works the numbers) and the CSR
+// lowering are served from cache, leaving only construction and
+// uncoarsening refinement. The bench enforces that floor itself, as exact
+// work counts rather than a wall-clock ratio, so it holds on every host: a
+// warm run with no metric-cache hit, any flow injection or any Dijkstra pop
+// fails the binary, not just the baseline diff. It also re-checks the
+// bit-identity contract: the warm partition must equal the cold one
+// exactly. The cold/warm wall ratio is printed for information only.
 //
 // Deterministic row fields: the cold row carries the full run's
 // cost/injections/dijkstra_pops; the warm row's injections are 0 BY
@@ -37,9 +39,8 @@ struct ServeRow {
   std::uint64_t injections = 0;
   std::uint64_t dijkstra_pops = 0;
   double metric_phase_ms = 0.0;
+  std::size_t metric_hits = 0;
 };
-
-constexpr double kMinWarmSpeedup = 5.0;
 
 }  // namespace
 
@@ -101,11 +102,12 @@ int main(int argc, char** argv) {
     for (const obs::TimerValue& t : snap.timers)
       if (t.name == "flow.compute_metric")
         row.metric_phase_ms = static_cast<double>(t.total_ns) / 1e6;
+    row.metric_hits = result.cache.metric_hits;
     partitions[rows.size()] = WritePartitionText(*result.partition);
     std::printf("%-14s %12.3f %12.3f %10.0f %14llu %12zu\n", row.name.c_str(),
                 row.wall_seconds, row.wall_seconds / calibration, row.cost,
                 static_cast<unsigned long long>(row.dijkstra_pops),
-                result.cache.metric_hits);
+                row.metric_hits);
     rows.push_back(std::move(row));
   }
 
@@ -116,16 +118,19 @@ int main(int argc, char** argv) {
                  "(cache broke bit-identity)\n");
     return 1;
   }
-  const double speedup = rows[0].wall_seconds / rows[1].wall_seconds;
-  std::printf("warm speedup: %.1fx (floor %.1fx)\n", speedup,
-              kMinWarmSpeedup);
-  if (speedup < kMinWarmSpeedup) {
+  const ServeRow& warm = rows[1];
+  if (warm.metric_hits == 0 || warm.injections != 0 ||
+      warm.dijkstra_pops != 0) {
     std::fprintf(stderr,
-                 "FAIL: warm run only %.2fx faster than cold "
-                 "(>= %.1fx required)\n",
-                 speedup, kMinWarmSpeedup);
+                 "FAIL: warm run recomputed the metric (metric hits %zu, "
+                 "injections %llu, dijkstra pops %llu; want >= 1, 0, 0)\n",
+                 warm.metric_hits,
+                 static_cast<unsigned long long>(warm.injections),
+                 static_cast<unsigned long long>(warm.dijkstra_pops));
     return 1;
   }
+  std::printf("warm speedup: %.1fx (informational)\n",
+              rows[0].wall_seconds / warm.wall_seconds);
 
   if (!json_path.empty()) {
     std::ofstream out(json_path);

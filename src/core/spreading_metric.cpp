@@ -24,6 +24,71 @@ obs::Counter c_scan_discarded("flow.scan_discarded");
 // Safe to flip serially: results are worker-count independent by contract.
 constexpr std::size_t kMinParallelNodes = 64;
 
+// Relative safety margin of the concave-gap certificate below. The
+// certificate is evaluated on the growth's running double sums, while the
+// violation tests it stands in for would be evaluated on later running
+// sums. Each of those sums adds at most n nonnegative terms, so it is
+// within a relative n * 2^-53 of its exact value (1.1e-11 at the 100k
+// nodes of the largest Rent inputs, 1e-10 at 9e5 nodes), and g adds a few
+// more roundings per level. 1e-9 dominates all of it by 10-100x while
+// costing the certificate nothing measurable.
+constexpr double kCertificateMargin = 1e-9;
+
+// The separation oracle's decision after the k-th node of S(v,k) settles —
+// the one predicate behind both FindViolationFrom and ViolationScanner.
+//
+// Write t = s(S(v,k)), W = sum s(u) dist(v,u) over the settled prefix,
+// r = dist(v, node just settled), S = s(V). Dijkstra settles in
+// nondecreasing distance, so every later prefix of size T in (t, S] has
+// lhs >= W + (T - t) * r. g is convex (piecewise linear with nondecreasing
+// slopes 2 * sum_{i<=l} w_i, weights validated nonnegative), so the gap
+// h(T) = W + (T - t) * r + tolerance - g(T) is concave on [t, S] and its
+// minimum sits at an endpoint. h(t) >= 0 is the violation test itself;
+// when h(t) and h(S) both clear the margin above, no later prefix can
+// violate (5) and the growth stops. The plain cap W + tolerance >= g(S) is
+// the r = 0 case; it is tested first and without margin, so the
+// certificate only ever shortens a growth. Every stop is a pure function
+// of (source, metric), so returned values and thread-invariance are
+// untouched; only the dijkstra.* work shrinks.
+class PrefixTest {
+ public:
+  enum class Verdict { kGrow, kViolated, kClean };
+
+  PrefixTest(const HierarchySpec& spec, double total_size, double tolerance)
+      : spec_(spec),
+        total_size_(total_size),
+        g_total_(spec.g(total_size)),
+        tolerance_(tolerance) {
+    // g's steepest slope times S bounds g on [0, S], so the absolute margin
+    // also covers g's movement under the rounding of the prefix size.
+    double slope = 0.0;
+    for (Level l = 0; l < spec.root_level(); ++l) slope += 2.0 * spec.weight(l);
+    rhs_margin_ = kCertificateMargin * slope * total_size;
+  }
+
+  /// Classifies the prefix `state`; `rhs` receives g(s(S(v,k))).
+  Verdict operator()(const GrowState& state, double& rhs) const {
+    const double lhs = state.weighted_dist;
+    rhs = spec_.g(state.tree_size);
+    if (lhs + tolerance_ < rhs) return Verdict::kViolated;
+    if (lhs + tolerance_ >= g_total_) return Verdict::kClean;
+    constexpr double kShrink = 1.0 - kCertificateMargin;
+    const double lhs_at_total =
+        lhs + (total_size_ - state.tree_size) * state.distance;
+    if (kShrink * lhs + tolerance_ >= rhs + rhs_margin_ &&
+        kShrink * lhs_at_total + tolerance_ >= g_total_ + rhs_margin_)
+      return Verdict::kClean;
+    return Verdict::kGrow;
+  }
+
+ private:
+  const HierarchySpec& spec_;
+  double total_size_;  ///< S = s(V)
+  double g_total_;     ///< g(S): bounds every rhs of family (5)
+  double tolerance_;
+  double rhs_margin_ = 0.0;
+};
+
 }  // namespace
 
 SpreadingMetric MetricFromPartition(const TreePartition& tp,
@@ -48,25 +113,20 @@ std::optional<SpreadingViolation> FindViolationFrom(
     const SpreadingMetric& metric, NodeId source, double tolerance) {
   HTP_CHECK(metric.size() == hg.num_nets());
   std::optional<SpreadingViolation> found;
-  // g is nondecreasing (weights are validated nonnegative), so g(s(V))
-  // bounds every rhs the growth can still produce; once the nondecreasing
-  // lhs clears it no later prefix can violate — stop growing.
-  const double g_cap = spec.g(hg.total_size());
+  const PrefixTest test(spec, hg.total_size(), tolerance);
   ShortestPathTree tree = GrowShortestPathTree(
       hg, source, metric, [&](const GrowState& state) {
-        const double rhs = spec.g(state.tree_size);
-        if (state.weighted_dist + tolerance < rhs) {
+        double rhs;
+        const PrefixTest::Verdict verdict = test(state, rhs);
+        if (verdict == PrefixTest::Verdict::kViolated)
           found = SpreadingViolation{source,
                                      state.tree_nodes,
                                      state.tree_size,
                                      state.weighted_dist,
                                      rhs,
                                      {}};
-          return GrowAction::kStop;
-        }
-        if (state.weighted_dist + tolerance >= g_cap)
-          return GrowAction::kStop;
-        return GrowAction::kContinue;
+        return verdict == PrefixTest::Verdict::kGrow ? GrowAction::kContinue
+                                                     : GrowAction::kStop;
       });
   if (found) found->tree = std::move(tree);
   return found;
@@ -108,8 +168,7 @@ ViolationScanner::ViolationScanner(const Hypergraph& hg,
                                    std::shared_ptr<const CsrView> shared_csr)
     : hg_(hg),
       spec_(spec),
-      csr_(std::move(shared_csr)),
-      g_cap_(spec.g(hg.total_size())) {
+      csr_(std::move(shared_csr)) {
   if (!csr_) {
     csr_ = std::make_shared<const CsrView>(hg);
   } else {
@@ -147,6 +206,7 @@ std::optional<ViolationScanner::ScanHit> ViolationScanner::FindFirstViolation(
   // scanned to completion.
   std::atomic<std::size_t> next{begin};
   std::atomic<std::size_t> first_violation{end};
+  const PrefixTest test(spec_, hg_.total_size(), tolerance);
 
   auto scan = [&](std::size_t /*worker_rank*/, Worker& worker) {
     for (;;) {
@@ -164,21 +224,18 @@ std::optional<ViolationScanner::ScanHit> ViolationScanner::FindFirstViolation(
               cancelled = true;
               return GrowAction::kStop;
             }
-            const double rhs = spec_.g(state.tree_size);
-            if (state.weighted_dist + tolerance < rhs) {
+            double rhs;
+            const PrefixTest::Verdict verdict = test(state, rhs);
+            if (verdict == PrefixTest::Verdict::kViolated) {
               slot.violated = true;
               slot.tree_nodes = state.tree_nodes;
               slot.tree_size = state.tree_size;
               slot.lhs = state.weighted_dist;
               slot.rhs = rhs;
-              return GrowAction::kStop;
             }
-            // No remaining prefix can violate: lhs is nondecreasing and
-            // g_cap_ = g(s(V)) bounds every future rhs. Deterministic —
-            // a pure function of (source, metric) — so thread-invariant.
-            if (state.weighted_dist + tolerance >= g_cap_)
-              return GrowAction::kStop;
-            return GrowAction::kContinue;
+            return verdict == PrefixTest::Verdict::kGrow
+                       ? GrowAction::kContinue
+                       : GrowAction::kStop;
           },
           worker.tree, &slot.stats);
       if (cancelled) return;  // a lower index already won; nothing after

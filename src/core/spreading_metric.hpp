@@ -58,7 +58,10 @@ struct SpreadingViolation {
 
 /// Checks constraints (5) rooted at one node; returns the *first* violation
 /// met while growing S(v,k) for k = 1..n, or nullopt when v is satisfied.
-/// `tolerance` is the absolute slack granted to the left-hand side.
+/// `tolerance` is the absolute slack granted to the left-hand side. The
+/// growth stops as soon as no later prefix can violate (see
+/// ViolationScanner); the result equals that of a growth over the whole
+/// graph.
 std::optional<SpreadingViolation> FindViolationFrom(
     const Hypergraph& hg, const HierarchySpec& spec,
     const SpreadingMetric& metric, NodeId source, double tolerance = 1e-7);
@@ -86,10 +89,11 @@ std::optional<SpreadingViolation> CheckSpreadingMetric(
 ///
 /// Hot path: trees grow over a CsrView built once at construction (one
 /// lowering per metric computation, shared read-only by every worker) and
-/// each growth stops early once no remaining prefix of S(v,k) can violate
-/// (5) — g is nondecreasing, so g(s(V)) bounds every future right-hand side
-/// (docs/algorithms.md, "CSR hot path"). The early exit is a pure function
-/// of (source, metric), so it never disturbs determinism.
+/// each growth stops early once a concave-gap certificate proves that no
+/// remaining prefix of S(v,k) can violate (5) — the same stopping rule
+/// FindViolationFrom applies (docs/algorithms.md, "CSR hot path"). The
+/// early exit is a pure function of (source, metric), so it never disturbs
+/// determinism.
 ///
 /// Determinism contract: the returned hit, the committed dijkstra.* counter
 /// totals, and the flow.scan_* counters are bit-identical for every
@@ -148,7 +152,6 @@ class ViolationScanner {
   /// Shared read-only adjacency for all workers; owned here when built
   /// privately, co-owned with an artifact cache when passed in.
   std::shared_ptr<const CsrView> csr_;
-  double g_cap_ = 0.0; ///< g(s(V)): upper bound on every rhs of family (5)
   std::size_t workers_ = 1;
   std::unique_ptr<ThreadPool> pool_;
   std::unique_ptr<Worker[]> worker_state_;
