@@ -212,6 +212,26 @@ void BM_HtpFmPass(benchmark::State& state) {
 BENCHMARK(BM_HtpFmPass)->RangeMultiplier(4)->Range(256, 65536)
     ->Complexity(benchmark::oNLogN)->Unit(benchmark::kMillisecond);
 
+// One RefineHtpFm on a partition that is already FM-converged: the single
+// pass finds no improving prefix, which is the case the certified pass stop
+// cuts short (docs/algorithms.md). Each iteration refines a fresh copy.
+void BM_HtpFmConvergedPass(benchmark::State& state) {
+  Hypergraph hg = Circuit(state.range(0));
+  const HierarchySpec spec = FullBinaryHierarchy(hg.total_size(), 3);
+  Rng rng(11);
+  TreePartition converged = RandomPartition(hg, spec, rng);
+  RefineHtpFm(converged, spec);
+  for (auto _ : state) {
+    state.PauseTiming();
+    TreePartition tp = converged;
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(RefineHtpFm(tp, spec));
+  }
+  state.SetComplexityN(state.range(0));
+}
+BENCHMARK(BM_HtpFmConvergedPass)->RangeMultiplier(4)->Range(4096, 65536)
+    ->Complexity(benchmark::oNLogN)->Unit(benchmark::kMillisecond);
+
 void BM_PartitionCost(benchmark::State& state) {
   Hypergraph hg = Circuit(state.range(0));
   const HierarchySpec spec = FullBinaryHierarchy(hg.total_size(), 3);

@@ -18,6 +18,9 @@ contracts docs/server.md promises:
   warm injections and returns the cold partition byte for byte, and the
   daemon's warm partition is byte-identical to what ``htp_cli
   --warm-start`` writes from the same state file;
+* a hostile line of 200k nested '[' gets an error response, and the
+  daemon keeps serving: the next request's partition is still
+  byte-identical to htp_cli's;
 * ping answers inline and shutdown terminates the daemon cleanly.
 
 Usage (CI and ctest run exactly this):
@@ -170,6 +173,22 @@ def main():
             print("eco: daemon warm resume matches htp_cli --warm-start "
                   f"(reused {eco_summary['blocks_reused']} blocks, "
                   f"0 warm injections)")
+
+            # Survival: a line nested far past the parser's depth cap must
+            # get an ordinary error response, and the daemon must go on
+            # answering valid requests with the same bytes.
+            sock.sendall(b"[" * 200000 + b"\n")
+            hostile = recv_line(sock)
+            assert hostile["status"] == "error", hostile
+            assert "nesting" in hostile["error"], hostile
+            sock.sendall(json.dumps(dict(REQUEST, id="after")).encode()
+                         + b"\n")
+            after = recv_line(sock)
+            assert after["status"] == "ok", after
+            assert after["deterministic"]["partition"] == cli_partition, (
+                "partition after the hostile line differs from htp_cli")
+            print("survival: deep nesting answered with an error; the next "
+                  "request still matches htp_cli byte for byte")
 
             sock.sendall(b'{"op":"shutdown"}\n')
             bye = recv_line(sock)

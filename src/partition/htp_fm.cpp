@@ -26,6 +26,9 @@ obs::Counter c_boundary_seeds("fm.boundary_seeds");
 // evaluation that is not served by the per-move memo and has a feasible
 // target.
 obs::Counter c_gain_sweeps("fm.gain_sweeps");
+// Passes ended by the locked-span bound (the certified pass stop below)
+// before the heap ran dry or the early-stop window fired.
+obs::Counter c_certified_stops("fm.certified_stops");
 obs::Timer t_refine("fm.refine");
 obs::Timer t_pass("fm.pass");
 
@@ -39,13 +42,61 @@ struct HeapEntry {
   }
 };
 
+// Certified pass stop. After a move is applied and its node locked, let C0
+// be the cost at the start of the pass and LB the locked-span bound: the
+// sum over (net e, level l) of w_l * c(e) * SpanValue(f), where f counts
+// the distinct level-l blocks holding e's locked pins. Locked nodes stay
+// put for the rest of the pass, SpanValue is nondecreasing, and w_l >= 0
+// and c(e) > 0 are validated, so every later partition of the pass costs
+// at least LB and every later prefix gains at most C0 - LB. Once
+// C0 - LB + margin <= best_cum + 1e-12, no later running sum can pass the
+// best-prefix test, so the pass ends and the rollback restores the same
+// best prefix as the exhaustive pass. Partitions, gains, passes and
+// moves_kept are unchanged bit for bit; only the work after the stop goes.
+//
+// The margin covers the rounding between the exact quantities and the
+// doubles compared. Let u = 2^-53, L levels, P pins, n nodes, and
+// D = 2 * sum_l w_l * sum_e c(e) |e|. A node moves at most once per pass
+// and shifts each (net, level) span by at most one, so D bounds the sum of
+// |term| over every Delta of a pass, and D / 2 bounds any cost, LB too.
+//   * `cum` after k <= n moves (each Delta sums <= deg(v) * L terms of one
+//     rounding each) is within gamma(P L + n) * D of the exact gain;
+//   * C0 (nets * L terms, two roundings each) is within
+//     gamma(nets L + 1) * C0, and LB (<= P L increments of one rounding)
+//     within gamma(P L) * D / 2;
+//   * the subtraction, the added margin and the comparison's own sum add
+//     a few u * (C0 + D).
+// With K = (P + nets) * L + n + 2, every gamma above is <= 1.01 K u, so the
+// total stays below 2.6 K u (C0 + D); the margin takes 4 K u (C0 + D).
+// Below K = 2e6 that is under 1e-9 * (C0 + D): far below one net's cost on
+// unit-weight inputs, so it delays no stop that matters.
+constexpr double kMarginPerOp = 0x1p-51;  // 4u
+
 class Refiner {
  public:
   Refiner(TreePartition& tp, const HierarchySpec& spec)
-      : tp_(tp), hg_(tp.hypergraph()), oracle_(tp, spec),
-        gains_(oracle_.leaves().size()), feasible_(gains_.size()),
-        stamp_(hg_.num_nodes(), 0), locked_(hg_.num_nodes(), 0),
-        memo_(hg_.num_nodes()) {}
+      : tp_(tp), spec_(spec), hg_(tp.hypergraph()), oracle_(tp, spec),
+        levels_(tp.root_level()), gains_(oracle_.leaves().size()),
+        feasible_(gains_.size()), stamp_(hg_.num_nodes(), 0),
+        locked_(hg_.num_nodes(), 0), memo_(hg_.num_nodes()),
+        lock_begin_(hg_.num_nets() + std::size_t{1}, 0),
+        locked_count_(hg_.num_nets(), 0),
+        span_locked_(hg_.num_nets() * levels_, 0) {
+    double weight_sum = 0.0;
+    for (Level l = 0; l < levels_; ++l) weight_sum += spec.weight(l);
+    double pin_capacity = 0.0;
+    for (NetId e = 0; e < hg_.num_nets(); ++e) {
+      // e's locked pins sit in at most min(degree, leaves) distinct leaves.
+      const std::size_t degree = hg_.net_degree(e);
+      lock_begin_[e + 1] =
+          lock_begin_[e] + std::min(degree, oracle_.leaves().size());
+      pin_capacity += hg_.net_capacity(e) * static_cast<double>(degree);
+    }
+    locked_leaves_.resize(lock_begin_.back());
+    term_bound_ = 2.0 * weight_sum * pin_capacity;
+    rounding_ops_ = static_cast<double>(
+        (hg_.num_pins() + hg_.num_nets()) * levels_ + hg_.num_nodes() + 2);
+  }
 
   struct Best {
     double gain;
@@ -107,10 +158,44 @@ class Refiner {
     }
   }
 
+  // Locks v in its current leaf for the rest of the pass and raises the
+  // locked-span bound: on every net of v, the levels at which v's block is
+  // new among the net's locked pins gain one block each. Scanning levels
+  // upward stops at the first level where v's block is already present,
+  // as every higher level then matches too.
+  void Lock(NodeId v) {
+    locked_[v] = 1;
+    const std::size_t leaf = oracle_.LeafIndex(tp_.leaf_of(v));
+    for (NetId e : hg_.nets(v)) {
+      const std::uint32_t* others = &locked_leaves_[lock_begin_[e]];
+      Level l = 0;
+      for (; l < levels_; ++l) {
+        const BlockId block = oracle_.Ancestor(leaf, l);
+        bool present = false;
+        for (std::uint32_t k = 0; k < locked_count_[e] && !present; ++k)
+          present = oracle_.Ancestor(others[k], l) == block;
+        if (present) break;
+        const std::uint32_t f = ++span_locked_[e * levels_ + l];
+        if (f >= 2)
+          lock_bound_ += spec_.weight(l) * hg_.net_capacity(e) *
+                         (f == 2 ? 2.0 : 1.0);
+      }
+      if (l > 0)  // v's leaf is new on e
+        locked_leaves_[lock_begin_[e] + locked_count_[e]++] =
+            static_cast<std::uint32_t>(leaf);
+    }
+  }
+
   // One FM pass; returns the realized (best-prefix) gain.
   double Pass(std::size_t early_stop_window, bool boundary_only,
               std::size_t& moves_kept) {
     std::fill(locked_.begin(), locked_.end(), 0);
+    std::fill(locked_count_.begin(), locked_count_.end(), 0);
+    std::fill(span_locked_.begin(), span_locked_.end(), 0);
+    lock_bound_ = 0.0;
+    const double start_cost = oracle_.Cost();
+    const double margin =
+        kMarginPerOp * rounding_ops_ * (start_cost + term_bound_);
     std::priority_queue<HeapEntry> heap;
     auto push_best = [&](NodeId v) {
       if (auto best = BestMove(v))
@@ -154,7 +239,7 @@ class Refiner {
       const double gain = -oracle_.Delta(v, entry.target);  // authoritative
       const BlockId from = tp_.leaf_of(v);
       Move(v, entry.target);
-      locked_[v] = 1;
+      Lock(v);
       log.emplace_back(v, from);
       cum += gain;
       if (cum > best_cum + 1e-12) {
@@ -162,6 +247,11 @@ class Refiner {
         best_len = log.size();
         since_best = 0;
       } else if (early_stop_window > 0 && ++since_best >= early_stop_window) {
+        break;
+      }
+      // Certified stop: no later prefix can pass the acceptance test above.
+      if (start_cost - lock_bound_ + margin <= best_cum + 1e-12) {
+        c_certified_stops.Add();
         break;
       }
       // Refresh the neighborhood.
@@ -197,8 +287,10 @@ class Refiner {
   };
 
   TreePartition& tp_;
+  const HierarchySpec& spec_;
   const Hypergraph& hg_;
   HtpMoveOracle oracle_;
+  Level levels_;
   std::vector<double> gains_;   // DeltaAll output, per leaf
   std::vector<char> feasible_;  // FeasibleAll output, per leaf
   std::vector<std::uint32_t> stamp_;
@@ -206,6 +298,17 @@ class Refiner {
   std::vector<Memo> memo_;
   std::uint32_t epoch_ = 1;
   std::uint64_t sweeps_ = 0;  // DeltaAll calls since the last pass ended
+  // Locked-span bound of the current pass. Net e's locked pins occupy the
+  // distinct leaf indices locked_leaves_[lock_begin_[e] ..][0,
+  // locked_count_[e]); span_locked_[e * levels_ + l] counts their distinct
+  // level-l blocks; lock_bound_ sums w_l * c(e) * SpanValue over all of it.
+  std::vector<std::size_t> lock_begin_;
+  std::vector<std::uint32_t> locked_leaves_;
+  std::vector<std::uint32_t> locked_count_;
+  std::vector<std::uint32_t> span_locked_;
+  double lock_bound_ = 0.0;
+  double term_bound_ = 0.0;    // 2 * sum_l w_l * sum_e c(e) |e|
+  double rounding_ops_ = 0.0;  // rounding steps the margin must cover
 };
 
 }  // namespace

@@ -181,6 +181,15 @@ void HtpMoveOracle::FeasibleAll(NodeId v, std::span<char> out) const {
   }
 }
 
+double HtpMoveOracle::Cost() const {
+  double cost = 0.0;
+  for (NetId e = 0; e < hg_->num_nets(); ++e)
+    for (Level l = 0; l < levels_; ++l)
+      cost += spec_->weight(l) * hg_->net_capacity(e) *
+              SpanValue(Distinct(e, l));
+  return cost;
+}
+
 void HtpMoveOracle::Apply(NodeId v, BlockId target) {
   const BlockId from = tp_->leaf_of(v);
   if (from == target) return;

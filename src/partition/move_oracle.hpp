@@ -53,6 +53,17 @@ class HtpMoveOracle {
   /// Moves v to `target`, updating the partition and the span tables.
   void Apply(NodeId v, BlockId target);
 
+  /// Equation-(1) cost of the current partition, read off the span tables
+  /// in O(nets * levels): the sum over (net, level) of
+  /// w_l * c(e) * SpanValue(f).
+  double Cost() const;
+
+  /// Index of leaf block `q` in leaves().
+  std::size_t LeafIndex(BlockId q) const;
+
+  /// Level-`l` ancestor of leaves()[i], for `l` below the root level.
+  BlockId Ancestor(std::size_t i, Level l) const { return Anc(i, l); }
+
   const TreePartition& partition() const { return *tp_; }
 
   /// All level-0 blocks, in id order (the index space of DeltaAll and
@@ -78,7 +89,6 @@ class HtpMoveOracle {
   BlockId Anc(std::size_t i, Level l) const {
     return anc_[l * leaves_.size() + i];
   }
-  std::size_t LeafIndex(BlockId q) const;
   std::size_t Distinct(NetId e, Level l) const;
   std::size_t Count(NetId e, Level l, BlockId q) const;
   void Inc(NetId e, Level l, BlockId q);

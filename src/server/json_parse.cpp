@@ -7,13 +7,18 @@ namespace htp::serve {
 
 namespace {
 
+// Containers nest at most this deep. The parser recurses once per level,
+// so without a cap one line of 200k '[' overflows the stack and kills the
+// daemon with every request in flight. Requests nest two levels deep.
+constexpr std::size_t kMaxDepth = 128;
+
 class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}
 
   JsonValue ParseDocument() {
     SkipWhitespace();
-    JsonValue value = ParseValue();
+    JsonValue value = ParseValue(0);
     SkipWhitespace();
     if (pos_ != text_.size()) Fail("trailing characters after JSON value");
     return value;
@@ -48,12 +53,13 @@ class Parser {
     return true;
   }
 
-  JsonValue ParseValue() {
+  // `depth` counts the containers enclosing the value.
+  JsonValue ParseValue(std::size_t depth) {
     switch (Peek()) {
       case '{':
-        return ParseObject();
+        return ParseObject(depth + 1);
       case '[':
-        return ParseArray();
+        return ParseArray(depth + 1);
       case '"': {
         JsonValue v;
         v.kind = JsonValue::Kind::kString;
@@ -81,7 +87,13 @@ class Parser {
     return v;
   }
 
-  JsonValue ParseObject() {
+  void CheckDepth(std::size_t depth) {
+    if (depth > kMaxDepth)
+      Fail("nesting deeper than " + std::to_string(kMaxDepth));
+  }
+
+  JsonValue ParseObject(std::size_t depth) {
+    CheckDepth(depth);
     Expect('{');
     JsonValue v;
     v.kind = JsonValue::Kind::kObject;
@@ -96,7 +108,7 @@ class Parser {
       SkipWhitespace();
       Expect(':');
       SkipWhitespace();
-      v.object_value[std::move(key)] = ParseValue();
+      v.object_value[std::move(key)] = ParseValue(depth);
       SkipWhitespace();
       if (Peek() == ',') {
         ++pos_;
@@ -107,7 +119,8 @@ class Parser {
     }
   }
 
-  JsonValue ParseArray() {
+  JsonValue ParseArray(std::size_t depth) {
+    CheckDepth(depth);
     Expect('[');
     JsonValue v;
     v.kind = JsonValue::Kind::kArray;
@@ -118,7 +131,7 @@ class Parser {
     }
     for (;;) {
       SkipWhitespace();
-      v.array_value.push_back(ParseValue());
+      v.array_value.push_back(ParseValue(depth));
       SkipWhitespace();
       if (Peek() == ',') {
         ++pos_;

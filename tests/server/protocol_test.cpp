@@ -34,6 +34,29 @@ TEST(JsonParse, RejectsMalformedInput) {
   EXPECT_THROW(ParseJson("nul"), Error);
 }
 
+// The parser recurses once per container, so nesting is capped: one line
+// of 200k '[' used to overflow the stack and kill the daemon.
+TEST(JsonParse, RejectsDeepNestingWithAnError) {
+  const std::size_t deep = 200000;
+  EXPECT_THROW(ParseJson(std::string(deep, '[')), Error);
+  EXPECT_THROW(ParseJson(std::string(deep, '[') + std::string(deep, ']')),
+               Error);
+  std::string objects;
+  for (std::size_t i = 0; i < deep; ++i) objects += "{\"a\":";
+  EXPECT_THROW(ParseJson(objects), Error);
+  try {
+    ParseJson(std::string(129, '[') + std::string(129, ']'));
+    FAIL() << "129 levels parsed";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("nesting deeper than 128"),
+              std::string::npos)
+        << e.what();
+  }
+  const JsonValue doc =
+      ParseJson(std::string(128, '[') + std::string(128, ']'));
+  EXPECT_EQ(doc.array_value.size(), 1u);
+}
+
 TEST(JsonParse, SurrogatePairsDecodeToUtf8) {
   const JsonValue doc = ParseJson(R"("\ud83d\ude00")");
   EXPECT_EQ(doc.string_value, "\xf0\x9f\x98\x80");  // U+1F600
