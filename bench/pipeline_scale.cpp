@@ -1,24 +1,20 @@
-// Whole-pipeline wall-clock gate for the parallel-construction path:
-// times FLOW with the disjoint-subtree task engine enabled plus the
-// per-block parallel FM refiner end to end, and emits the same
-// machine-readable JSON shape as regression_suite so
-// scripts/bench_regression.py can gate it as the "pipeline" section of
-// BENCH_htp.json (docs/benchmarks.md).
+// Whole-pipeline wall-clock gate: times FLOW plus hierarchical FM
+// refinement (RefineHtpFm) end to end, and emits the same machine-readable
+// JSON shape as regression_suite so scripts/bench_regression.py can gate
+// it as the "pipeline" section of BENCH_htp.json (docs/benchmarks.md).
 //
-// The engine is a *mode*: results here are bit-identical for every
-// --build-threads value != 1 (and for every --threads x --metric-threads
-// combination), but intentionally NOT comparable to the serial-mode
-// "circuits" section — the deterministic fields (cost, injections,
-// dijkstra_pops) form their own baseline.
+// Results are bit-identical for every --threads x --metric-threads
+// combination. Injections and dijkstra_pops equal the "circuits" rows (the
+// same FLOW runs); cost is the refined cost.
 //
 // Usage: pipeline_scale --json out.json [--quick] [--seed N] [--threads N]
-//                       [--metric-threads N] [--build-threads N]
+//                       [--metric-threads N]
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "core/htp_flow.hpp"
-#include "partition/parallel_refine.hpp"
+#include "partition/htp_fm.hpp"
 
 namespace {
 
@@ -43,16 +39,11 @@ int main(int argc, char** argv) {
     else
       rest.push_back(argv[i]);
   }
-  bench::Options options =
+  const bench::Options options =
       bench::ParseArgs(static_cast<int>(rest.size()), rest.data());
-  if (options.build_threads == 1) {
-    // The point of this bench is the tasked path; default the knob on so a
-    // bare run measures what the gate gates.
-    options.build_threads = 2;
-  }
   bench::PrintHeader("PIPELINE",
-                     "tasked FLOW construction + per-block parallel FM, "
-                     "end to end (see docs/parallelism.md)",
+                     "FLOW construction + hierarchical FM refinement, end "
+                     "to end",
                      options);
 
   const double calibration = bench::CalibrationSeconds();
@@ -69,7 +60,6 @@ int main(int argc, char** argv) {
     params.seed = options.seed;
     params.threads = options.threads;
     params.metric_threads = options.metric_threads;
-    params.build_threads = options.build_threads;
     HtpFmParams refine;
     CircuitRow row;
     row.name = name;
@@ -77,8 +67,7 @@ int main(int argc, char** argv) {
     HtpFmStats refined;
     row.pipeline_wall_seconds = bench::TimeSeconds([&] {
       result = RunHtpFlow(hg, spec, params);
-      refined = RefineHtpFmBlocks(result.partition, spec, refine,
-                                  options.build_threads);
+      refined = RefineHtpFm(result.partition, spec, refine);
     });
     row.cost = refined.final_cost;
     for (const HtpFlowIteration& it : result.iterations)
@@ -110,7 +99,6 @@ int main(int argc, char** argv) {
     out << "  \"seed\": " << options.seed << ",\n";
     out << "  \"threads\": " << options.threads << ",\n";
     out << "  \"metric_threads\": " << options.metric_threads << ",\n";
-    out << "  \"build_threads\": " << options.build_threads << ",\n";
     out << "  \"calibration_seconds\": " << calibration << ",\n";
     out << "  \"circuits\": [\n";
     for (std::size_t i = 0; i < rows.size(); ++i) {

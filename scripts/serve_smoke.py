@@ -21,6 +21,8 @@ contracts docs/server.md promises:
 * a hostile line of 200k nested '[' gets an error response, and the
   daemon keeps serving: the next request's partition is still
   byte-identical to htp_cli's;
+* so does a line one byte over the daemon's line cap (64 MiB), whose bytes
+  the daemon drops through the next newline;
 * ping answers inline and shutdown terminates the daemon cleanly.
 
 Usage (CI and ctest run exactly this):
@@ -49,6 +51,8 @@ REQUEST = {
 CLI_ARGS = [
     "--circuit", "c1355", "--height", "3", "--iterations", "1", "--seed", "1",
 ]
+# kMaxRequestLineBytes in src/server/protocol.hpp.
+MAX_LINE_BYTES = 64 << 20
 
 
 def recv_line(sock):
@@ -189,6 +193,22 @@ def main():
                 "partition after the hostile line differs from htp_cli")
             print("survival: deep nesting answered with an error; the next "
                   "request still matches htp_cli byte for byte")
+
+            # Survival: a line over the cap is answered with an error (the
+            # daemon buffers no more than the cap), and the request after
+            # it is answered with the same bytes as before.
+            sock.sendall(b"x" * (MAX_LINE_BYTES + 1) + b"\n")
+            oversized = recv_line(sock)
+            assert oversized["status"] == "error", oversized
+            assert "line exceeds" in oversized["error"], oversized
+            sock.sendall(json.dumps(dict(REQUEST, id="after")).encode()
+                         + b"\n")
+            after_cap = recv_line(sock)
+            assert after_cap["status"] == "ok", after_cap
+            assert deterministic_slice(after_cap) == deterministic_slice(
+                after), "response after the oversized line differs"
+            print("survival: oversized line answered with an error; the next "
+                  "deterministic section is byte-identical")
 
             sock.sendall(b'{"op":"shutdown"}\n')
             bye = recv_line(sock)

@@ -1,7 +1,6 @@
 #include "core/htp_flow.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 
 #include "core/mst_carver.hpp"
@@ -119,8 +118,7 @@ IterationOutcome RunIteration(const Hypergraph& hg, const HierarchySpec& spec,
   injection.threads = params.metric_threads;
   // All metric computations route through the optional provider so a
   // caching layer can intercept both this global metric and the
-  // per-subproblem ones below. Must be thread-safe: the carve lambda calls
-  // it from pool workers under build_threads != 1.
+  // per-subproblem ones below.
   const auto compute_metric = [&params](const Hypergraph& g,
                                         const HierarchySpec& s,
                                         const FlowInjectionParams& p) {
@@ -142,14 +140,6 @@ IterationOutcome RunIteration(const Hypergraph& hg, const HierarchySpec& spec,
   // injected local metric (the restriction of a global metric keeps
   // full multi-level lengths on boundary nets and so misguides
   // lower-level carves; see MetricScope).
-  Rng& metric_rng = streams.metric_rng;
-  // build_threads != 1 routes construction through the subtree task engine,
-  // where the carve lambda runs concurrently on pool workers: the
-  // local-metric seed must come from the calling task's private stream
-  // (`rng`), not the iteration-shared metric_rng, and the truncation flag
-  // becomes an atomic folded into `out` after the build returns.
-  const bool tasked = params.build_threads != 1;
-  std::atomic<bool> carve_truncated{false};
   const CarveFn carve = [&](const Hypergraph& sub,
                             std::span<const double> sub_metric, double lb,
                             double ub, Rng& rng) {
@@ -158,15 +148,14 @@ IterationOutcome RunIteration(const Hypergraph& hg, const HierarchySpec& spec,
         sub.total_size() > spec.capacity(0)) {
       FlowInjectionParams local =
           BudgetedInjection(params.injection, params.budget, cancel);
-      local.seed = tasked ? rng.next_u64() : metric_rng.next_u64();
+      local.seed = streams.metric_rng.next_u64();
       local.threads = params.metric_threads;
       // A warm seed (ECO, docs/incremental.md) is sized for the *input*
       // hypergraph; per-subproblem locals run on different net sets, so
       // they always inject cold (exactly what a cold run would do).
       local.warm_metric.reset();
       const FlowInjectionResult local_metric = compute_metric(sub, spec, local);
-      if (local_metric.cancelled)
-        carve_truncated.store(true, std::memory_order_relaxed);
+      if (local_metric.cancelled) out.truncated = true;
       return BestOfCarves(sub, local_metric.metric, lb, ub, rng,
                           params.carve_attempts, params.carver, cancel);
     }
@@ -188,12 +177,8 @@ IterationOutcome RunIteration(const Hypergraph& hg, const HierarchySpec& spec,
     try {
       const CancellationToken build_cancel =
           must_finish ? CancellationToken{} : cancel;
-      TreePartition tp =
-          tasked ? BuildPartitionTasked(hg, spec, metric.metric, carve,
-                                        streams.construct_rng,
-                                        params.build_threads, build_cancel)
-                 : BuildPartitionTopDown(hg, spec, metric.metric, carve,
-                                         streams.construct_rng, build_cancel);
+      TreePartition tp = BuildPartitionTopDown(
+          hg, spec, metric.metric, carve, streams.construct_rng, build_cancel);
       const double cost = PartitionCost(tp, spec);
       if (out.stats.best_partition_cost < 0.0 ||
           cost < out.stats.best_partition_cost)
@@ -207,7 +192,6 @@ IterationOutcome RunIteration(const Hypergraph& hg, const HierarchySpec& spec,
       break;
     }
   }
-  if (carve_truncated.load(std::memory_order_relaxed)) out.truncated = true;
   out.stats.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
@@ -221,6 +205,9 @@ HtpFlowResult RunHtpFlow(const Hypergraph& hg, const HierarchySpec& spec,
   HTP_CHECK(params.iterations >= 1);
   HTP_CHECK(params.constructions_per_metric >= 1);
   HTP_CHECK(params.carve_attempts >= 1);
+  HTP_CHECK_MSG(params.build_threads == 1,
+                "build_threads must be 1: the tasked construction mode was "
+                "removed");
   obs::PhaseScope run_span(t_run);
   c_runs.Add();
   // The deterministic iteration cap truncates the plan up front; because
@@ -348,11 +335,8 @@ HtpFlowResult RunHtpFlow(const Hypergraph& hg, const HierarchySpec& spec,
     rb.MetaString("carver", params.carver == CarverKind::kMstSplit
                                 ? "mst_split"
                                 : "prim_prefix");
-    // The construction mode changes deterministic results (per-task RNG
-    // streams vs the serial stream), so it belongs in meta; the worker
-    // count does not, so it goes to the wall section below.
-    rb.MetaString("build_mode",
-                  params.build_threads == 1 ? "serial" : "tasked");
+    // Kept for report-schema stability: construction is always serial.
+    rb.MetaString("build_mode", "serial");
     rb.ResultNumber("cost", result.cost);
     rb.ResultBool("completed", result.completed);
     rb.ResultString("stop_reason", StopReasonName(result.stop_reason));
@@ -361,8 +345,6 @@ HtpFlowResult RunHtpFlow(const Hypergraph& hg, const HierarchySpec& spec,
     rb.WallNumber("threads", static_cast<double>(params.threads));
     rb.WallNumber("metric_threads",
                   static_cast<double>(params.metric_threads));
-    rb.WallNumber("build_threads",
-                  static_cast<double>(params.build_threads));
     result.report = rb.Render(obs::TakeSnapshot(), obs::DrainEvents());
   }
   return result;

@@ -15,8 +15,7 @@ namespace {
 
 // ECO telemetry (docs/incremental.md has the counter table). Every total is
 // a pure function of (state, delta, knobs), so the whole family shares the
-// thread-invariance guarantee — including across build_threads, which the
-// ECO path deliberately ignores.
+// thread-invariance guarantee.
 obs::Counter c_runs("eco.runs");
 obs::Counter c_reused("eco.blocks_reused");
 obs::Counter c_recarved("eco.blocks_recarved");

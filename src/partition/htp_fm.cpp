@@ -70,6 +70,11 @@ struct HeapEntry {
 // total stays below 2.6 K u (C0 + D); the margin takes 4 K u (C0 + D).
 // Below K = 2e6 that is under 1e-9 * (C0 + D): far below one net's cost on
 // unit-weight inputs, so it delays no stop that matters.
+//
+// A prefix is kept only if it beats the best by more than max(margin,
+// 1e-12), so the rounding of an exactly-zero gain (e.g. relabelling every
+// node) never passes for a gain. The 1e-12 floor keeps the stop above
+// sound when the margin is smaller.
 constexpr double kMarginPerOp = 0x1p-51;  // 4u
 
 class Refiner {
@@ -186,6 +191,8 @@ class Refiner {
     }
   }
 
+  double Cost() const { return oracle_.Cost(); }
+
   // One FM pass; returns the realized (best-prefix) gain.
   double Pass(std::size_t early_stop_window, bool boundary_only,
               std::size_t& moves_kept) {
@@ -196,6 +203,7 @@ class Refiner {
     const double start_cost = oracle_.Cost();
     const double margin =
         kMarginPerOp * rounding_ops_ * (start_cost + term_bound_);
+    const double accept = std::max(margin, 1e-12);
     std::priority_queue<HeapEntry> heap;
     auto push_best = [&](NodeId v) {
       if (auto best = BestMove(v))
@@ -242,7 +250,7 @@ class Refiner {
       Lock(v);
       log.emplace_back(v, from);
       cum += gain;
-      if (cum > best_cum + 1e-12) {
+      if (cum > best_cum + accept) {
         best_cum = cum;
         best_len = log.size();
         since_best = 0;
@@ -319,9 +327,12 @@ HtpFmStats RefineHtpFm(TreePartition& tp, const HierarchySpec& spec,
   obs::PhaseScope obs_span(t_refine);
   c_refines.Add();
   HtpFmStats stats;
-  stats.initial_cost = PartitionCost(tp, spec);
   Refiner refiner(tp, spec);
-  double cost = stats.initial_cost;
+  // Both costs are counted by the oracle, in one summation order, so a run
+  // that keeps no move reports final_cost == initial_cost bit for bit. The
+  // final one is a recount, not initial_cost minus the pass gains, whose
+  // running sums carry rounding.
+  stats.initial_cost = refiner.Cost();
   for (std::size_t pass = 0; pass < params.max_passes; ++pass) {
     // Safepoint: between passes. The best-prefix rollback has run, so the
     // partition is valid and no worse than the input here.
@@ -334,10 +345,9 @@ HtpFmStats RefineHtpFm(TreePartition& tp, const HierarchySpec& spec,
     obs::PhaseScope pass_span(t_pass, "pass", pass);
     const double gain = refiner.Pass(params.early_stop_window,
                                      params.boundary_only, stats.moves_kept);
-    cost -= gain;
-    if (gain <= 1e-12) break;
+    if (gain == 0.0) break;  // no prefix beat the acceptance margin
   }
-  stats.final_cost = cost;
+  stats.final_cost = refiner.Cost();
   return stats;
 }
 

@@ -140,7 +140,10 @@ ServeRequest ParseServeRequest(const JsonValue& doc) {
   s.iterations = GetCount(doc, "iterations", 4);
   s.threads = GetCount(doc, "threads", 0);
   s.metric_threads = GetCount(doc, "metric_threads", 1);
-  s.build_threads = GetCount(doc, "build_threads", 1);
+  // Accepted for v1 grammar stability; construction is always serial.
+  if (GetCount(doc, "build_threads", 1) != 1)
+    FailField("build_threads",
+              "must be 1: the tasked construction mode was removed");
   s.refine = GetBool(doc, "refine", false);
   s.multilevel = GetBool(doc, "multilevel", false);
   s.coarsen_threshold = GetCount(doc, "coarsen_threshold", 800);
@@ -200,7 +203,7 @@ std::string RenderServeResponse(const ServeRequest& request,
   w.Key("iterations_requested");
   w.Number(static_cast<std::uint64_t>(request.session.iterations));
   w.Key("build_mode");
-  w.String(request.session.build_threads == 1 ? "serial" : "tasked");
+  w.String("serial");
   w.Key("multilevel");
   w.Bool(result.used_multilevel);
   w.EndObject();  // meta
@@ -344,6 +347,37 @@ std::string RenderServeError(const std::string& id_json,
   w.String(message);
   w.EndObject();
   return std::move(w).Take();
+}
+
+void LineFramer::Append(std::string_view bytes) {
+  if (discarding_) {
+    const std::size_t newline = bytes.find('\n');
+    if (newline == std::string_view::npos) return;
+    discarding_ = false;
+    bytes.remove_prefix(newline + 1);
+  }
+  buffer_.append(bytes);
+}
+
+std::optional<LineFramer::Line> LineFramer::Next() {
+  const std::size_t newline = buffer_.find('\n', scanned_);
+  if (newline != std::string::npos) {
+    Line line{{}, newline - start_ > max_line_};
+    if (!line.too_long) line.text.assign(buffer_, start_, newline - start_);
+    start_ = scanned_ = newline + 1;
+    return line;
+  }
+  if (buffer_.size() - start_ > max_line_) {
+    buffer_.clear();
+    start_ = scanned_ = 0;
+    discarding_ = true;
+    return Line{{}, true};
+  }
+  // Compact only once no complete line is left: each byte moves once.
+  buffer_.erase(0, start_);
+  start_ = 0;
+  scanned_ = buffer_.size();
+  return std::nullopt;
 }
 
 }  // namespace htp::serve

@@ -15,6 +15,7 @@
 // "cache" and "wall" sections sit outside it and may differ freely.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -64,5 +65,33 @@ std::string RenderServeAck(const std::string& id_json, std::string_view op);
 /// errors). `id_json` may be "null" when the id never decoded.
 std::string RenderServeError(const std::string& id_json,
                              std::string_view message);
+
+/// Longest request line the daemon buffers, newline excluded; far above
+/// the measured request sizes docs/server.md lists.
+inline constexpr std::size_t kMaxRequestLineBytes = std::size_t{64} << 20;
+
+/// Frames a connection's byte stream into lines, scanning each byte for the
+/// newline once and buffering at most `max_line` bytes of an unfinished
+/// line. A longer line is reported once as too_long, as soon as it crosses
+/// the cap; its bytes are dropped through the next newline.
+class LineFramer {
+ public:
+  struct Line {
+    std::string text;  ///< newline excluded; empty when too_long
+    bool too_long = false;
+  };
+  explicit LineFramer(std::size_t max_line = kMaxRequestLineBytes)
+      : max_line_(max_line) {}
+  void Append(std::string_view bytes);
+  /// The next framed line, or nullopt until more bytes arrive.
+  std::optional<Line> Next();
+
+ private:
+  std::size_t max_line_;
+  std::string buffer_;
+  std::size_t start_ = 0;    // first byte of the current line
+  std::size_t scanned_ = 0;  // no newline in [start_, scanned_)
+  bool discarding_ = false;  // dropping an overlong line's tail
+};
 
 }  // namespace htp::serve

@@ -145,22 +145,32 @@ class Daemon {
   }
 
   void ReadLoop(const std::shared_ptr<Connection>& conn) {
-    std::string buffer;
+    LineFramer framer;
     char chunk[4096];
     bool stop = false;
     while (!stop) {
       const ssize_t n = ::recv(conn->fd, chunk, sizeof(chunk), 0);
       if (n <= 0) break;
-      buffer.append(chunk, static_cast<std::size_t>(n));
-      std::size_t newline;
-      while (!stop && (newline = buffer.find('\n')) != std::string::npos) {
-        const std::string line = buffer.substr(0, newline);
-        buffer.erase(0, newline + 1);
-        stop = HandleLine(conn, line);
+      framer.Append({chunk, static_cast<std::size_t>(n)});
+      std::optional<LineFramer::Line> line;
+      while (!stop && (line = framer.Next())) {
+        if (line->too_long)
+          ReplyError(conn, "request: line exceeds " +
+                               std::to_string(kMaxRequestLineBytes) +
+                               " bytes");
+        else
+          stop = HandleLine(conn, line->text);
       }
     }
     conn->DrainOutstanding();
     ::close(conn->fd);
+  }
+
+  void ReplyError(const std::shared_ptr<Connection>& conn,
+                  const std::string& message) {
+    errors_.fetch_add(1);
+    c_errors.Add();
+    conn->WriteLine(RenderServeError("null", message));
   }
 
   /// Returns true when this connection should stop reading (shutdown, or
@@ -172,9 +182,7 @@ class Daemon {
     try {
       request = ParseServeRequest(ParseJson(line));
     } catch (const std::exception& e) {
-      errors_.fetch_add(1);
-      c_errors.Add();
-      conn->WriteLine(RenderServeError("null", e.what()));
+      ReplyError(conn, e.what());
       return false;
     }
     if (request.op == "ping") {

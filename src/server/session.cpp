@@ -17,7 +17,6 @@
 #include "netlist/rng.hpp"
 #include "obs/report.hpp"
 #include "partition/gfm.hpp"
-#include "partition/parallel_refine.hpp"
 #include "partition/rfm.hpp"
 #include "server/artifact_key.hpp"
 
@@ -72,6 +71,9 @@ struct ProviderStats {
 SessionResult RunSession(const SessionRequest& request, ArtifactCache* cache) {
   const auto start = std::chrono::steady_clock::now();
   SessionResult result;
+  if (request.build_threads != 1)
+    throw Error("session: build_threads must be 1 (the tasked construction "
+                "mode was removed)");
 
   // --- Netlist: provided > cache > direct build. A file path is read
   // into text first so every cached key is content-derived. ---
@@ -194,7 +196,6 @@ SessionResult RunSession(const SessionRequest& request, ArtifactCache* cache) {
     params.collect_report = request.collect_report;
     params.threads = request.threads;
     params.metric_threads = request.metric_threads;
-    params.build_threads = request.build_threads;
     params.budget.max_rounds = request.budget.max_rounds;
     params.cancel = run_token;
     params.injection.oracle_sample = request.oracle_sample;
@@ -315,7 +316,6 @@ SessionResult RunSession(const SessionRequest& request, ArtifactCache* cache) {
     RfmParams rfm_params;
     rfm_params.seed = request.seed;
     rfm_params.cancel = run_token;
-    rfm_params.build_threads = request.build_threads;
     tp = RunRfm(hg, spec, rfm_params);
   } else if (request.algo == "gfm") {
     GfmParams gfm_params;
@@ -330,10 +330,7 @@ SessionResult RunSession(const SessionRequest& request, ArtifactCache* cache) {
   if (request.refine) {
     HtpFmParams fm_params;
     fm_params.cancel = run_token;
-    result.fm = request.build_threads != 1
-                    ? RefineHtpFmBlocks(tp, spec, fm_params,
-                                        request.build_threads)
-                    : RefineHtpFm(tp, spec, fm_params);
+    result.fm = RefineHtpFm(tp, spec, fm_params);
     result.refined = true;
   }
   RequireValidPartition(tp, spec);
@@ -358,8 +355,6 @@ SessionResult RunSession(const SessionRequest& request, ArtifactCache* cache) {
     rb.MetaNumber("seed", static_cast<double>(request.seed));
     rb.ResultNumber("cost", PartitionCost(*result.partition, spec));
     rb.WallNumber("threads", static_cast<double>(request.threads));
-    rb.WallNumber("build_threads",
-                  static_cast<double>(request.build_threads));
     result.report = rb.Render(obs::TakeSnapshot(), obs::DrainEvents());
   }
 

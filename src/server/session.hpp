@@ -52,6 +52,8 @@ struct SessionRequest {
   std::size_t iterations = 4;
   std::size_t threads = 0;
   std::size_t metric_threads = 1;
+  /// Vestige of the removed tasked construction mode: RunSession throws
+  /// htp::Error for any value but 1.
   std::size_t build_threads = 1;
   bool refine = false;
   bool multilevel = false;

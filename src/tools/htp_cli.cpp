@@ -60,17 +60,6 @@ void Usage(const char* argv0) {
                "(default 1;\n"
                "                     0 = all); results are identical for "
                "every M\n"
-               "  --build-threads B  construction-parallelism mode "
-               "(default 1 =\n"
-               "                     legacy serial recursion); any other "
-               "value\n"
-               "                     (0 = all) fans recursive carves and "
-               "--refine\n"
-               "                     out per subtree — identical for every "
-               "such B,\n"
-               "                     but a different deterministic universe "
-               "than\n"
-               "                     B=1 (see docs/parallelism.md)\n"
                "  --time-budget SEC  wall-clock budget in seconds; when it "
                "fires,\n"
                "                     the best partition found so far is "
@@ -186,8 +175,6 @@ int main(int argc, char** argv) {
       else if (arg("--threads")) request.threads = std::stoul(argv[++i]);
       else if (arg("--metric-threads"))
         request.metric_threads = std::stoul(argv[++i]);
-      else if (arg("--build-threads"))
-        request.build_threads = std::stoul(argv[++i]);
       else if (arg("--time-budget"))
         request.budget.time_budget_seconds = std::stod(argv[++i]);
       else if (arg("--max-rounds"))
@@ -261,13 +248,10 @@ int main(int argc, char** argv) {
       // fact; print the resolved worker counts up front.
       std::printf(
           "flow: %zu iterations on %zu threads (--threads %zu), "
-          "%zu scan threads (--metric-threads %zu), "
-          "build %s (--build-threads %zu)\n",
+          "%zu scan threads (--metric-threads %zu)\n",
           request.iterations, ResolveThreadCount(request.threads),
           request.threads, ResolveThreadCount(request.metric_threads),
-          request.metric_threads,
-          request.build_threads == 1 ? "serial" : "tasked",
-          request.build_threads);
+          request.metric_threads);
       if (run.used_multilevel) {
         std::printf(
             "multilevel: %zu coarsening levels, coarsest %u nodes, "

@@ -40,6 +40,12 @@ TEST(HtpFlowOptions, RejectsZeroedParameters) {
   params = {};
   params.constructions_per_metric = 0;
   EXPECT_THROW(RunHtpFlow(hg, Figure2Spec(), params), Error);
+  // Construction is always serial; the removed tasked mode's values fail.
+  for (const std::size_t build_threads : {std::size_t{0}, std::size_t{2}}) {
+    params = {};
+    params.build_threads = build_threads;
+    EXPECT_THROW(RunHtpFlow(hg, Figure2Spec(), params), Error);
+  }
 }
 
 class HtpFlowOptionMatrixTest

@@ -1,8 +1,8 @@
 // RunEcoRepartition unit semantics: the empty-delta resume reproduces the
 // prior run bit for bit with every root subtree cloned; single-net deltas
 // re-carve only the touched subtree; results are bit-identical across the
-// FULL threads x metric_threads x build_threads matrix (the contract
-// docs/incremental.md states, stronger than the cold pipeline's).
+// full threads x metric_threads matrix (the contract docs/incremental.md
+// states).
 #include "incremental/eco_repartition.hpp"
 
 #include <gtest/gtest.h>
@@ -140,30 +140,23 @@ TEST(EcoRepartition, BitIdenticalAcrossFullKnobMatrix) {
                                                 run.flow.partition, warm, eco);
   const std::string reference_text = WritePartitionText(reference.partition);
 
-  // Unlike the cold pipeline, build_threads is part of the invariance:
-  // ECO construction always uses the serial builder.
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     for (const std::size_t metric_threads :
          {std::size_t{1}, std::size_t{3}, std::size_t{0}}) {
-      for (const std::size_t build_threads : {std::size_t{1}, std::size_t{4}}) {
-        SCOPED_TRACE(testing::Message()
-                     << "threads=" << threads
-                     << " metric_threads=" << metric_threads
-                     << " build_threads=" << build_threads);
-        EcoParams knobs;
-        knobs.flow = run.params;
-        knobs.flow.threads = threads;
-        knobs.flow.metric_threads = metric_threads;
-        knobs.flow.build_threads = build_threads;
-        const EcoResult other = RunEcoRepartition(
-            app, run.spec, run.flow.partition, warm, knobs);
-        ASSERT_EQ(WritePartitionText(other.partition), reference_text);
-        ASSERT_EQ(other.cost, reference.cost);
-        ASSERT_EQ(other.warm_rounds, reference.warm_rounds);
-        ASSERT_EQ(other.warm_injections, reference.warm_injections);
-        ASSERT_EQ(other.blocks_reused, reference.blocks_reused);
-        ASSERT_EQ(other.blocks_recarved, reference.blocks_recarved);
-      }
+      SCOPED_TRACE(testing::Message() << "threads=" << threads
+                                      << " metric_threads=" << metric_threads);
+      EcoParams knobs;
+      knobs.flow = run.params;
+      knobs.flow.threads = threads;
+      knobs.flow.metric_threads = metric_threads;
+      const EcoResult other = RunEcoRepartition(
+          app, run.spec, run.flow.partition, warm, knobs);
+      ASSERT_EQ(WritePartitionText(other.partition), reference_text);
+      ASSERT_EQ(other.cost, reference.cost);
+      ASSERT_EQ(other.warm_rounds, reference.warm_rounds);
+      ASSERT_EQ(other.warm_injections, reference.warm_injections);
+      ASSERT_EQ(other.blocks_reused, reference.blocks_reused);
+      ASSERT_EQ(other.blocks_recarved, reference.blocks_recarved);
     }
   }
 }

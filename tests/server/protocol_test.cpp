@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+#include <vector>
+
 #include "server/json_parse.hpp"
 
 namespace htp::serve {
@@ -97,6 +101,23 @@ TEST(Protocol, DecodesExplicitFields) {
   EXPECT_TRUE(request.session.collect_report);
 }
 
+// The v1 grammar keeps `build_threads`, but construction is always serial:
+// 1 decodes, any other value is rejected with an explanatory error.
+TEST(Protocol, BuildThreadsAcceptsOnlyOne) {
+  const ServeRequest request = ParseServeRequest(
+      ParseJson(R"({"circuit":"c1355","build_threads":1})"));
+  EXPECT_EQ(request.session.build_threads, 1u);
+  try {
+    ParseServeRequest(ParseJson(R"({"circuit":"c1355","build_threads":2})"));
+    FAIL() << "build_threads 2 decoded";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("tasked construction mode was "
+                                         "removed"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Protocol, RejectsUnknownMembersAndBadTypes) {
   // Strict decoding: a typo must fail loudly, not run with defaults.
   EXPECT_THROW(
@@ -162,6 +183,63 @@ TEST(Protocol, AckAndErrorResponsesAreWellFormed) {
   EXPECT_TRUE(err_doc.Find("id")->is_null());
   EXPECT_EQ(err_doc.Find("status")->string_value, "error");
   EXPECT_EQ(err_doc.Find("error")->string_value, "request: bad \"thing\"");
+}
+
+// --- Line framing ---
+
+std::vector<LineFramer::Line> Drain(LineFramer& framer) {
+  std::vector<LineFramer::Line> lines;
+  while (std::optional<LineFramer::Line> line = framer.Next())
+    lines.push_back(std::move(*line));
+  return lines;
+}
+
+TEST(LineFramer, SplitsLinesAcrossChunks) {
+  LineFramer framer(16);
+  framer.Append("ab");
+  EXPECT_TRUE(Drain(framer).empty());
+  framer.Append("c\nde\n\nf");
+  const std::vector<LineFramer::Line> lines = Drain(framer);
+  ASSERT_EQ(lines.size(), 3u);
+  EXPECT_EQ(lines[0].text, "abc");
+  EXPECT_EQ(lines[1].text, "de");
+  EXPECT_EQ(lines[2].text, "");
+  for (const LineFramer::Line& line : lines) EXPECT_FALSE(line.too_long);
+  framer.Append("g\n");
+  const std::vector<LineFramer::Line> tail = Drain(framer);
+  ASSERT_EQ(tail.size(), 1u);
+  EXPECT_EQ(tail[0].text, "fg");
+}
+
+// A line over the cap is reported once, as soon as the cap is crossed, and
+// its bytes are dropped through the next newline; the line after it frames
+// intact. A line of exactly the cap is still accepted.
+TEST(LineFramer, OverlongLineIsReportedOnceAndSkipped) {
+  LineFramer framer(8);
+  framer.Append("12345678\n");
+  std::vector<LineFramer::Line> lines = Drain(framer);
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_EQ(lines[0].text, "12345678");
+
+  framer.Append("123456789");
+  lines = Drain(framer);
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_TRUE(lines[0].too_long);
+  EXPECT_TRUE(lines[0].text.empty());
+  framer.Append(std::string(1000, 'x'));
+  EXPECT_TRUE(Drain(framer).empty());
+  framer.Append("xx\n{\"op\":1}\n");
+  lines = Drain(framer);
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_FALSE(lines[0].too_long);
+  EXPECT_EQ(lines[0].text, "{\"op\":1}");
+
+  // An overlong line whose newline arrives in the same chunk.
+  framer.Append("abcdefghij\nok\n");
+  lines = Drain(framer);
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_TRUE(lines[0].too_long);
+  EXPECT_EQ(lines[1].text, "ok");
 }
 
 }  // namespace
