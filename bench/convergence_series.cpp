@@ -18,6 +18,7 @@ int main(int argc, char** argv) {
 
   Hypergraph hg = MakeIscas85Like("c1355", options.seed);
   const HierarchySpec spec = FullBinaryHierarchy(hg.total_size());
+  const CsrView csr(hg);  // for the per-cap feasibility recheck
 
   // Re-running with increasing round caps exposes the whole trajectory
   // through the public API (one row per cap; costs are cumulative states,
@@ -50,7 +51,7 @@ int main(int argc, char** argv) {
     // Count still-violated sources under the produced metric.
     std::size_t violated = 0;
     for (NodeId v = 0; v < hg.num_nodes(); ++v)
-      if (FindViolationFrom(hg, spec, r.metric, v)) ++violated;
+      if (FindViolationFrom(csr, spec, r.metric, v)) ++violated;
     std::printf("%8zu %12zu %14zu %12.2f %10s %14llu %12.2f\n", r.rounds,
                 violated, r.injections, r.metric_cost,
                 r.converged ? "yes" : "no",

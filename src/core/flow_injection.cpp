@@ -219,6 +219,13 @@ FlowInjectionResult ComputePairPathSpreadingMetric(
   for (NodeId v = 0; v < hg.num_nodes(); ++v) worklist[v] = v;
   MaybeSampleWorklist(worklist, params.oracle_sample, rng);
 
+  // One lowering for the whole computation, shared with a caching layer
+  // when it passes one (same contract as ViolationScanner's).
+  std::shared_ptr<const CsrView> csr = params.csr;
+  if (!csr) csr = std::make_shared<const CsrView>(hg);
+  HTP_CHECK(csr->num_nodes() == hg.num_nodes());
+  HTP_CHECK(csr->num_nets() == hg.num_nets());
+
   while (!worklist.empty() && result.rounds < params.max_rounds) {
     // Same safepoint placement as ComputeSpreadingMetric: round top and
     // after each committed injection.
@@ -232,7 +239,7 @@ FlowInjectionResult ComputePairPathSpreadingMetric(
     for (NodeId v : worklist) {
       if (result.cancelled) break;
       auto violation =
-          FindViolationFrom(hg, spec, result.metric, v, params.tolerance);
+          FindViolationFrom(*csr, spec, result.metric, v, params.tolerance);
       if (!violation) continue;
       // Pair-path injection: pick a random partner inside the violating
       // (under-spread) region and flood only the v -> u shortest path.

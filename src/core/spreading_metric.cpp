@@ -109,13 +109,13 @@ double MetricCost(const Hypergraph& hg, const SpreadingMetric& metric) {
 }
 
 std::optional<SpreadingViolation> FindViolationFrom(
-    const Hypergraph& hg, const HierarchySpec& spec,
+    const CsrView& csr, const HierarchySpec& spec,
     const SpreadingMetric& metric, NodeId source, double tolerance) {
-  HTP_CHECK(metric.size() == hg.num_nets());
+  HTP_CHECK(metric.size() == csr.num_nets());
   std::optional<SpreadingViolation> found;
-  const PrefixTest test(spec, hg.total_size(), tolerance);
+  const PrefixTest test(spec, csr.total_size(), tolerance);
   ShortestPathTree tree = GrowShortestPathTree(
-      hg, source, metric, [&](const GrowState& state) {
+      csr, source, metric, [&](const GrowState& state) {
         double rhs;
         const PrefixTest::Verdict verdict = test(state, rhs);
         if (verdict == PrefixTest::Verdict::kViolated)
@@ -135,8 +135,9 @@ std::optional<SpreadingViolation> FindViolationFrom(
 std::optional<SpreadingViolation> CheckSpreadingMetric(
     const Hypergraph& hg, const HierarchySpec& spec,
     const SpreadingMetric& metric, double tolerance) {
+  const CsrView csr(hg);
   for (NodeId v = 0; v < hg.num_nodes(); ++v)
-    if (auto violation = FindViolationFrom(hg, spec, metric, v, tolerance))
+    if (auto violation = FindViolationFrom(csr, spec, metric, v, tolerance))
       return violation;
   return std::nullopt;
 }

@@ -59,16 +59,18 @@ struct SpreadingViolation {
 /// Checks constraints (5) rooted at one node; returns the *first* violation
 /// met while growing S(v,k) for k = 1..n, or nullopt when v is satisfied.
 /// `tolerance` is the absolute slack granted to the left-hand side. The
-/// growth stops as soon as no later prefix can violate (see
-/// ViolationScanner); the result equals that of a growth over the whole
-/// graph.
+/// growth walks `csr`, the caller's lowering of the hypergraph — built once
+/// per sweep over many sources, as ViolationScanner does. It stops as soon
+/// as no later prefix can violate (see ViolationScanner); the result equals
+/// that of a growth over the whole graph.
 std::optional<SpreadingViolation> FindViolationFrom(
-    const Hypergraph& hg, const HierarchySpec& spec,
+    const CsrView& csr, const HierarchySpec& spec,
     const SpreadingMetric& metric, NodeId source, double tolerance = 1e-7);
 
 /// Full feasibility check of family (5) over all sources. Returns the first
 /// violation found (scanning sources in id order), or nullopt when `metric`
-/// is a feasible spreading metric.
+/// is a feasible spreading metric. Lowers `hg` to a CsrView once for the
+/// whole sweep.
 std::optional<SpreadingViolation> CheckSpreadingMetric(
     const Hypergraph& hg, const HierarchySpec& spec,
     const SpreadingMetric& metric, double tolerance = 1e-7);

@@ -15,7 +15,8 @@ std::uint64_t NextViewId() {
 CsrView::CsrView(const Hypergraph& hg, CsrLayout layout)
     : num_nodes_(hg.num_nodes()),
       num_nets_(hg.num_nets()),
-      id_(NextViewId()) {
+      id_(NextViewId()),
+      total_size_(hg.total_size()) {
   // The duplicated layout stores, per (node, net) incidence, every pin of
   // the net except the node itself.
   std::size_t duplicated_entries = 0;

@@ -1,12 +1,12 @@
 // CsrView: an immutable CSR lowering of the hypergraph star expansion for
 // the Dijkstra hot path.
 //
-// Hypergraph already stores both incidence directions in CSR form, but the
-// growth loop of DijkstraWorkspace::Grow pays three indirections per relaxed
-// net — node -> incident-net list, net -> pin offset, offset -> pins — plus
-// a bounds-checked span construction (HTP_CHECK is active in Release) for
-// every one of them. Profiling (PR 3's phase timers) puts that loop at
-// 60-70% of FLOW CPU, so Algorithm 2 runs it millions of times per metric.
+// Hypergraph already stores both incidence directions in CSR form, but a
+// growth walking it directly pays three indirections per relaxed net —
+// node -> incident-net list, net -> pin offset, offset -> pins — plus a
+// bounds-checked span construction (HTP_CHECK is active in Release) for
+// every one of them. The growth loop is 60-70% of FLOW CPU, and Algorithm 2
+// runs it millions of times per metric.
 //
 // CsrView flattens the walk once per metric computation into two arrays the
 // loop streams through with raw pointers:
@@ -23,12 +23,13 @@
 //     over memory. Costs sum_e |e|*(|e|-1) entries — the star/clique
 //     expansion — which is ~2x the pin count for short-net netlists.
 //   * kShared — each net's pin list is stored once and every arc points at
-//     it (the owning node stays in the list; the settled-node test skips it
-//     exactly as the legacy walk does). Costs |pins| entries.
+//     it (the owning node stays in the list; the settled-node test skips
+//     it). Costs |pins| entries.
 //
 // kAuto picks kDuplicated unless a hub net blows the expansion past
 // kDuplicationLimit times the pin count. Results are bit-identical across
-// layouts and with the legacy Hypergraph walk: arcs preserve the node ->
+// layouts and with a Dijkstra walking the Hypergraph itself (the test
+// oracle, tests/graph/reference_dijkstra.hpp): arcs preserve the node ->
 // nets order and pins preserve the per-net pin order, so relaxations happen
 // in the same sequence with the same tie-breaks.
 //
@@ -80,6 +81,9 @@ class CsrView {
   bool duplicated() const { return duplicated_; }
   /// Pin entries materialized (the layout's memory footprint).
   std::size_t pin_entries() const { return pins_.size(); }
+  /// s(V), copied from Hypergraph::total_size(): the cap of every
+  /// spreading constraint a growth over this view tests.
+  double total_size() const { return total_size_; }
 
   /// Checked convenience accessor (tests, non-hot callers).
   std::span<const CsrArc> arcs_of(NodeId v) const {
@@ -97,6 +101,7 @@ class CsrView {
   std::size_t num_nodes_ = 0;
   std::size_t num_nets_ = 0;
   std::uint64_t id_ = 0;
+  double total_size_ = 0.0;
   bool duplicated_ = false;
   std::vector<std::uint32_t> arc_offset_;  // size n+1
   std::vector<CsrArc> arcs_;               // size = total incidences

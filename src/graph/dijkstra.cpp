@@ -30,22 +30,6 @@ void RecordDijkstraCounters(const DijkstraStats& stats, std::uint64_t calls) {
 }
 
 ShortestPathTree GrowShortestPathTree(
-    const Hypergraph& hg, NodeId source, std::span<const double> net_length,
-    const std::function<GrowAction(const GrowState&)>& visitor) {
-  ShortestPathTree tree;
-  DijkstraStats stats;
-  ThreadWorkspace().Grow(hg, source, net_length, visitor, tree, &stats);
-  RecordDijkstraCounters(stats, 1);
-  return tree;
-}
-
-ShortestPathTree Dijkstra(const Hypergraph& hg, NodeId source,
-                          std::span<const double> net_length) {
-  return GrowShortestPathTree(hg, source, net_length,
-                              [](const GrowState&) { return GrowAction::kContinue; });
-}
-
-ShortestPathTree GrowShortestPathTree(
     const CsrView& view, NodeId source, std::span<const double> net_length,
     const std::function<GrowAction(const GrowState&)>& visitor) {
   ShortestPathTree tree;

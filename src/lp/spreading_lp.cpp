@@ -13,6 +13,7 @@ SpreadingLpResult SolveSpreadingLp(const Hypergraph& hg,
   lp.objective.resize(m);
   for (NetId e = 0; e < m; ++e) lp.objective[e] = hg.net_capacity(e);
 
+  const CsrView csr(hg);
   SpreadingMetric metric(m, 0.0);
   for (std::size_t round = 1; round <= options.max_rounds; ++round) {
     result.rounds = round;
@@ -26,7 +27,7 @@ SpreadingLpResult SolveSpreadingLp(const Hypergraph& hg,
         break;
       }
       auto violation =
-          FindViolationFrom(hg, spec, metric, v, options.tolerance);
+          FindViolationFrom(csr, spec, metric, v, options.tolerance);
       if (!violation) continue;
       LpRow row;
       row.coeffs.assign(m, 0.0);

@@ -16,6 +16,19 @@ obs::Counter c_nodes_merged("coarsen.nodes_merged");
 obs::Counter c_stalled("coarsen.stalled_passes");
 obs::Timer t_pass("coarsen.pass");
 
+// Nets with more pins than this contribute no rating signal (a k-pin net
+// ties everything to everything; scoring it costs O(k) per pin for
+// nothing). They still appear, contracted, in the coarse graph.
+constexpr std::size_t kMaxRatingNetDegree = 500;
+
+// KaHyPar's heavy-edge rating: connection / (size * size). It prefers
+// tightly connected *small* partners and so keeps supernode sizes
+// balanced. Higher wins; ties fall to the smaller candidate id.
+double HeavyEdgeRating(double connection, double node_size,
+                       double candidate_size) {
+  return connection / (node_size * candidate_size);
+}
+
 // Accumulates the connection weight between `v` and each eligible neighbor
 // (matching) or neighbor cluster (label propagation) into `conn`, recording
 // the touched keys in `touched`. `key_of(u)` maps a pin to its scoring key
@@ -23,13 +36,12 @@ obs::Timer t_pass("coarsen.pass");
 // hypergraph-to-graph expansion.
 template <typename KeyOf>
 void AccumulateConnections(const Hypergraph& hg, NodeId v,
-                           std::size_t max_degree, const KeyOf& key_of,
-                           std::vector<double>& conn,
+                           const KeyOf& key_of, std::vector<double>& conn,
                            std::vector<NodeId>& touched) {
   touched.clear();
   for (NetId e : hg.nets(v)) {
     const auto pins = hg.pins(e);
-    if (pins.size() > max_degree) continue;
+    if (pins.size() > kMaxRatingNetDegree) continue;
     const double w =
         hg.net_capacity(e) / static_cast<double>(pins.size() - 1);
     for (NodeId u : pins) {
@@ -47,7 +59,6 @@ void AccumulateConnections(const Hypergraph& hg, NodeId v,
 
 std::vector<BlockId> HeavyEdgeMatchingPass(const Hypergraph& hg,
                                            const CoarsenParams& params,
-                                           const RatingFn& rating,
                                            BlockId& num_clusters) {
   const NodeId n = hg.num_nodes();
   std::vector<BlockId> cluster_of(n, kInvalidBlock);
@@ -58,7 +69,7 @@ std::vector<BlockId> HeavyEdgeMatchingPass(const Hypergraph& hg,
     if (cluster_of[v] != kInvalidBlock) continue;
     const double sv = hg.node_size(v);
     AccumulateConnections(
-        hg, v, params.max_rating_net_degree,
+        hg, v,
         [&](NodeId u) {
           return cluster_of[u] == kInvalidBlock ? u : kInvalidNode;
         },
@@ -69,7 +80,7 @@ std::vector<BlockId> HeavyEdgeMatchingPass(const Hypergraph& hg,
       if (params.max_cluster_size > 0.0 &&
           sv + hg.node_size(u) > params.max_cluster_size)
         continue;
-      const double r = rating(conn[u], sv, hg.node_size(u));
+      const double r = HeavyEdgeRating(conn[u], sv, hg.node_size(u));
       if (r > best_rating) {  // strict: ties keep the smallest id
         best = u;
         best_rating = r;
@@ -86,7 +97,6 @@ std::vector<BlockId> HeavyEdgeMatchingPass(const Hypergraph& hg,
 
 std::vector<BlockId> LabelPropagationPass(const Hypergraph& hg,
                                           const CoarsenParams& params,
-                                          const RatingFn& rating,
                                           BlockId& num_clusters) {
   const NodeId n = hg.num_nodes();
   std::vector<BlockId> cluster_of(n, kInvalidBlock);
@@ -97,7 +107,7 @@ std::vector<BlockId> LabelPropagationPass(const Hypergraph& hg,
     const double sv = hg.node_size(v);
     conn.resize(cluster_size.size(), 0.0);
     AccumulateConnections(
-        hg, v, params.max_rating_net_degree,
+        hg, v,
         [&](NodeId u) {
           return cluster_of[u];  // kInvalidBlock == kInvalidNode: skip
         },
@@ -108,7 +118,7 @@ std::vector<BlockId> LabelPropagationPass(const Hypergraph& hg,
       if (params.max_cluster_size > 0.0 &&
           cluster_size[c] + sv > params.max_cluster_size)
         continue;
-      const double r = rating(conn[c], sv, cluster_size[c]);
+      const double r = HeavyEdgeRating(conn[c], sv, cluster_size[c]);
       if (r > best_rating) {  // strict: ties keep the smallest cluster id
         best = c;
         best_rating = r;
@@ -129,26 +139,19 @@ std::vector<BlockId> LabelPropagationPass(const Hypergraph& hg,
 
 }  // namespace
 
-double HeavyEdgeRating(double connection, double node_size,
-                       double candidate_size) {
-  return connection / (node_size * candidate_size);
-}
-
 CoarsenLevel CoarsenOnce(const Hypergraph& fine, const CoarsenParams& params) {
   HTP_CHECK_MSG(fine.num_nodes() > 0, "cannot coarsen an empty hypergraph");
   obs::PhaseScope obs_span(t_pass);
   c_passes.Add();
-  const RatingFn& rating =
-      params.rating ? params.rating : RatingFn(HeavyEdgeRating);
   CoarsenLevel level;
   switch (params.scheme) {
     case CoarsenScheme::kHeavyEdgeMatching:
       level.cluster_of =
-          HeavyEdgeMatchingPass(fine, params, rating, level.num_clusters);
+          HeavyEdgeMatchingPass(fine, params, level.num_clusters);
       break;
     case CoarsenScheme::kLabelPropagation:
       level.cluster_of =
-          LabelPropagationPass(fine, params, rating, level.num_clusters);
+          LabelPropagationPass(fine, params, level.num_clusters);
       break;
   }
   level.coarse =

@@ -8,6 +8,11 @@
 // has exactly the same cost on the fine graph (the round-trip invariant
 // tests/multilevel/coarsen_test.cpp asserts).
 //
+// Both schemes below score a candidate partner by KaHyPar's heavy-edge
+// rating, connection / (node size * candidate size), where the connection
+// sums c(e)/(|e|-1) over shared nets; nets of more than 500 pins give no
+// signal.
+//
 // Determinism contract: both schemes are pure functions of the hypergraph
 // and the parameters. Nodes are visited in index order, candidate scores
 // are compared with a strict ">" so ties fall to the smallest candidate id,
@@ -15,7 +20,6 @@
 // pipeline is bit-identical across seeds, threads, and runs.
 #pragma once
 
-#include <functional>
 #include <vector>
 
 #include "netlist/hypergraph.hpp"
@@ -37,35 +41,14 @@ enum class CoarsenScheme {
   kLabelPropagation,
 };
 
-/// Pluggable cluster rating: given the accumulated connection weight
-/// between a node and a candidate (sum over shared nets of c(e)/(|e|-1)),
-/// the node's size, and the candidate's size, returns a score. Higher wins;
-/// ties fall to the smaller candidate id. Must be pure (called in a
-/// deterministic order, its results are baked into the level structure).
-using RatingFn =
-    std::function<double(double connection, double node_size,
-                         double candidate_size)>;
-
-/// The default rating: connection / (size * size) — KaHyPar's heavy-edge
-/// rating, which prefers tightly connected *small* partners and so keeps
-/// supernode sizes balanced.
-double HeavyEdgeRating(double connection, double node_size,
-                       double candidate_size);
-
 /// Parameters of one coarsening pass.
 struct CoarsenParams {
   CoarsenScheme scheme = CoarsenScheme::kLabelPropagation;
-  /// Rating function; HeavyEdgeRating when empty.
-  RatingFn rating;
   /// Upper bound on the total fine size of a cluster (0 = unlimited). The
   /// multilevel driver derives this from the hierarchy spec so supernodes
   /// never exceed what the coarse-level construction can pack
   /// (multilevel_flow.cpp, FeasibleClusterCap).
   double max_cluster_size = 0.0;
-  /// Nets with more pins than this contribute no rating signal (a k-pin net
-  /// ties everything to everything; scoring it costs O(k) per pin for
-  /// nothing). They still appear, contracted, in the coarse graph.
-  std::size_t max_rating_net_degree = 500;
 };
 
 /// One level of the coarsening stack: the cluster memento plus the

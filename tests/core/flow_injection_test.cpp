@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <memory>
+#include <ostream>
+#include <string>
+
 #include "core/paper_examples.hpp"
 #include "test_util.hpp"
 
@@ -158,6 +163,60 @@ TEST_P(PairPathInjectionTest, ConvergesToFeasibleMetric) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PairPathInjectionTest,
                          ::testing::Range<std::uint64_t>(1, 9));
+
+// Exact pins of the pair-path variant: rounds, injections, and an FNV-1a
+// hash of the metric's bits. Each injection floods a path read off the
+// violating tree's parent links, so the pins move with any change in the
+// separation oracle's trees or stop points. Recorded while the oracle
+// still grew its trees over the Hypergraph itself; the CsrView growth must
+// reproduce them, with a private lowering or a shared one (params.csr).
+struct PairPathPin {
+  const char* name;
+  std::size_t rounds;
+  std::size_t injections;
+  std::uint64_t metric_hash;
+};
+void PrintTo(const PairPathPin& pin, std::ostream* os) { *os << pin.name; }
+
+class PairPathPinTest : public ::testing::TestWithParam<PairPathPin> {};
+
+TEST_P(PairPathPinTest, RoundsInjectionsAndMetricBitsPinned) {
+  const PairPathPin pin = GetParam();
+  Hypergraph hg;
+  HierarchySpec spec = Figure2Spec();
+  FlowInjectionParams params;
+  if (std::string(pin.name) == "figure2") {
+    hg = Figure2Graph();
+  } else {
+    params.seed = std::string(pin.name) == "random3" ? 3 : 5;
+    hg = testutil::RandomConnectedHypergraph(30, 35, 4, params.seed);
+    spec = FullBinaryHierarchy(hg.total_size(), 2, 0.2);
+  }
+  const FlowInjectionResult result =
+      ComputePairPathSpreadingMetric(hg, spec, params);
+  EXPECT_TRUE(result.converged);
+  EXPECT_EQ(result.rounds, pin.rounds);
+  EXPECT_EQ(result.injections, pin.injections);
+  EXPECT_EQ(testutil::HashBits(result.metric), pin.metric_hash);
+
+  params.csr = std::make_shared<const CsrView>(hg, CsrLayout::kShared);
+  const FlowInjectionResult shared =
+      ComputePairPathSpreadingMetric(hg, spec, params);
+  EXPECT_EQ(shared.metric, result.metric);  // bitwise, every net
+  EXPECT_EQ(shared.injections, result.injections);
+}
+
+INSTANTIATE_TEST_SUITE_P(Instances, PairPathPinTest,
+                         ::testing::Values(
+                             PairPathPin{"figure2", 49, 735,
+                                         7610664646779588426ull},
+                             PairPathPin{"random3", 91, 1522,
+                                         5119589330577920020ull},
+                             PairPathPin{"random5", 80, 1385,
+                                         547933107678523932ull}),
+                         [](const auto& case_info) {
+                           return std::string(case_info.param.name);
+                         });
 
 }  // namespace
 }  // namespace htp

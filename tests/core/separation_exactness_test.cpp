@@ -3,7 +3,8 @@
 // FindViolationFrom and ViolationScanner stop a growth as soon as a
 // concave-gap certificate proves that no later prefix S(v,k) can violate
 // (5). These tests hold that stopping rule to a reference oracle with no
-// early exit at all: it grows every source over the whole reachable graph,
+// early exit at all: it grows every source over the whole reachable graph
+// with the Hypergraph reference walk (graph/reference_dijkstra.hpp),
 // evaluates every prefix, and reports the first violation. Verdicts, the
 // first violating prefix (k, size, lhs, rhs — compared bit for bit) and the
 // violating tree's nets must match on every source. The certificate's proof
@@ -22,10 +23,12 @@
 
 #include "core/flow_injection.hpp"
 #include "core/spreading_metric.hpp"
+#include "graph/reference_dijkstra.hpp"
 #include "multilevel/coarsen.hpp"
 #include "netlist/generators.hpp"
 #include "netlist/rng.hpp"
 #include "obs/obs.hpp"
+#include "test_util.hpp"
 
 namespace htp {
 namespace {
@@ -46,7 +49,7 @@ std::optional<ReferenceViolation> ReferenceFirstViolation(
     const Hypergraph& hg, const HierarchySpec& spec,
     const SpreadingMetric& metric, NodeId source, double tolerance) {
   std::optional<ReferenceViolation> first;
-  const ShortestPathTree full = GrowShortestPathTree(
+  const ShortestPathTree full = ReferenceGrow(
       hg, source, metric, [&](const GrowState& state) {
         const double rhs = spec.g(state.tree_size);
         if (!first && state.weighted_dist + tolerance < rhs)
@@ -77,11 +80,12 @@ void ExpectOraclesMatchReference(const Hypergraph& hg,
   std::vector<NodeId> all(hg.num_nodes());
   for (NodeId v = 0; v < hg.num_nodes(); ++v) all[v] = v;
   ViolationScanner scanner(hg, spec, 1);
+  const CsrView csr(hg);
   std::optional<NodeId> first_violating_source;
   for (NodeId v = 0; v < hg.num_nodes(); ++v) {
     SCOPED_TRACE(testing::Message() << "source " << v);
     const auto expect = ReferenceFirstViolation(hg, spec, metric, v, tolerance);
-    const auto found = FindViolationFrom(hg, spec, metric, v, tolerance);
+    const auto found = FindViolationFrom(csr, spec, metric, v, tolerance);
     const std::span<const NodeId> one(&all[v], 1);
     const auto hit = scanner.FindFirstViolation(one, 0, metric, tolerance);
     ASSERT_EQ(found.has_value(), expect.has_value());
@@ -205,7 +209,7 @@ TEST(SeparationExactness, MarginCoversRoundingOfTheRunningSum) {
   ASSERT_EQ(spec.g(hg.total_size()), bound);
   const SpreadingMetric metric(hg.num_nets(), 0.1);
 
-  const auto found = FindViolationFrom(hg, spec, metric, 0, 0.0);
+  const auto found = FindViolationFrom(CsrView(hg), spec, metric, 0, 0.0);
   ASSERT_TRUE(found.has_value());
   EXPECT_EQ(found->tree_nodes, std::size_t{kLeaves + 1});
   EXPECT_EQ(Bits(found->lhs), Bits(running));
@@ -260,15 +264,6 @@ struct MetricPin {
 
 void PrintTo(const MetricPin& pin, std::ostream* os) { *os << pin.name; }
 
-std::uint64_t HashMetric(const SpreadingMetric& metric) {
-  std::uint64_t h = 1469598103934665603ull;  // FNV-1a 64
-  for (double d : metric) {
-    h ^= Bits(d);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 Hypergraph PinnedInstance(const std::string& name) {
   if (name != "rent_coarse") return MakeIscas85Like(name, 1997);
   RentCircuitParams circuit;
@@ -297,7 +292,7 @@ TEST_P(SpreadingMetricPinTest, MetricBitsPinnedAndWorkBelowFullGrowth) {
   EXPECT_TRUE(result.converged);
   EXPECT_EQ(result.injections, pin.injections);
   EXPECT_EQ(result.rounds, pin.rounds);
-  EXPECT_EQ(HashMetric(result.metric), pin.metric_hash);
+  EXPECT_EQ(testutil::HashBits(result.metric), pin.metric_hash);
 #if HTP_OBS_ENABLED
   std::uint64_t pops = 0;
   for (const obs::CounterValue& c : obs::TakeSnapshot().counters)

@@ -98,9 +98,10 @@ std::optional<SweepResult> SerialSweep(const Hypergraph& hg,
                                        std::size_t begin,
                                        const SpreadingMetric& metric,
                                        double tolerance) {
+  const CsrView csr(hg);
   for (std::size_t i = begin; i < candidates.size(); ++i)
     if (auto v =
-            FindViolationFrom(hg, spec, metric, candidates[i], tolerance))
+            FindViolationFrom(csr, spec, metric, candidates[i], tolerance))
       return SweepResult{i, std::move(*v)};
   return std::nullopt;
 }

@@ -1,12 +1,14 @@
 // Differential tests for the CSR Dijkstra engine (graph/csr_view.hpp):
-// the CsrView + 4-ary-heap growth must be bit-identical to the legacy
-// Hypergraph walk — distances, parents, settling (pop) order, and work
-// counts — for every layout, including tie-heavy length functions that
-// exercise the (dist, node) heap tie-break.
+// the CsrView + 4-ary-heap growth must be bit-identical to the reference
+// binary-heap walk over the Hypergraph (graph/reference_dijkstra.hpp) —
+// distances, parents, settling (pop) order, and work counts — for every
+// layout, including tie-heavy length functions that exercise the
+// (dist, node) heap tie-break.
 #include <gtest/gtest.h>
 
 #include "graph/csr_view.hpp"
 #include "graph/dijkstra.hpp"
+#include "graph/reference_dijkstra.hpp"
 #include "test_util.hpp"
 
 namespace htp {
@@ -101,7 +103,7 @@ TEST_P(CsrDijkstraDiffTest, FullGrowthBitIdenticalEverySourceBothLayouts) {
   const CsrView dup(hg, CsrLayout::kDuplicated);
   const CsrView shared(hg, CsrLayout::kShared);
   for (NodeId source = 0; source < hg.num_nodes(); ++source) {
-    const ShortestPathTree expect = Dijkstra(hg, source, len);
+    const ShortestPathTree expect = ReferenceDijkstra(hg, source, len);
     ExpectSameTree(expect, Dijkstra(dup, source, len));
     ExpectSameTree(expect, Dijkstra(shared, source, len));
   }
@@ -118,7 +120,8 @@ TEST_P(CsrDijkstraDiffTest, TieHeavyLengthsPopInSameOrder) {
   for (double c : {0.0, 1.0}) {
     const std::vector<double> len(hg.num_nets(), c);
     for (NodeId source = 0; source < hg.num_nodes(); source += 3)
-      ExpectSameTree(Dijkstra(hg, source, len), Dijkstra(view, source, len));
+      ExpectSameTree(ReferenceDijkstra(hg, source, len),
+                     Dijkstra(view, source, len));
   }
 }
 
@@ -128,15 +131,16 @@ TEST_P(CsrDijkstraDiffTest, TruncatedGrowthAndStatsMatch) {
       30 + seed % 15, 25 + seed % 15, 4, seed + 17);
   const std::vector<double> len = RandomLengths(hg, seed, 2.0);
   const CsrView view(hg);
-  DijkstraWorkspace legacy_ws, csr_ws;
-  ShortestPathTree legacy_tree, csr_tree;
+  DijkstraWorkspace csr_ws;
+  ShortestPathTree csr_tree;
   for (std::size_t stop_k : {std::size_t{1}, std::size_t{5},
                              static_cast<std::size_t>(hg.num_nodes())}) {
     auto stop_at = [stop_k](const GrowState& s) {
       return s.tree_nodes >= stop_k ? GrowAction::kStop : GrowAction::kContinue;
     };
     DijkstraStats legacy_stats, csr_stats;
-    legacy_ws.Grow(hg, 2, len, stop_at, legacy_tree, &legacy_stats);
+    const ShortestPathTree legacy_tree =
+        ReferenceGrow(hg, 2, len, stop_at, &legacy_stats);
     csr_ws.Grow(view, 2, len, stop_at, csr_tree, &csr_stats);
     ExpectSameTree(legacy_tree, csr_tree);
     EXPECT_EQ(legacy_stats.pops, csr_stats.pops);
@@ -152,7 +156,7 @@ TEST_P(CsrDijkstraDiffTest, VisitorSeesIdenticalGrowStates) {
   const std::vector<double> len = RandomLengths(hg, seed * 7, 1.0);
   const CsrView view(hg);
   std::vector<GrowState> legacy_states, csr_states;
-  GrowShortestPathTree(hg, 0, len, [&](const GrowState& s) {
+  ReferenceGrow(hg, 0, len, [&](const GrowState& s) {
     legacy_states.push_back(s);
     return GrowAction::kContinue;
   });
@@ -174,8 +178,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CsrDijkstraDiffTest,
                          ::testing::Range<std::uint64_t>(1, 11));
 
 TEST(CsrDijkstraDiff, WorkspaceSharedAcrossViewAndHypergraphCalls) {
-  // One workspace alternating between the two flavors (and across graphs)
-  // must stay correct: epoch stamps, not clears, isolate the growths.
+  // One workspace alternating between views (both layouts of each graph)
+  // and across graphs, checked after every growth against the Hypergraph
+  // reference walk, must stay correct: epoch stamps, not clears, isolate
+  // the growths, and the per-view node-size staging follows the view.
   DijkstraWorkspace ws;
   ShortestPathTree tree;
   for (std::uint64_t seed : {1u, 2u, 3u}) {
@@ -183,13 +189,14 @@ TEST(CsrDijkstraDiff, WorkspaceSharedAcrossViewAndHypergraphCalls) {
         testutil::RandomConnectedHypergraph(15 + seed * 9, 10 + seed * 6, 3,
                                             seed);
     const std::vector<double> len = RandomLengths(hg, seed, 3.0);
-    const CsrView view(hg);
+    const CsrView dup(hg, CsrLayout::kDuplicated);
+    const CsrView shared(hg, CsrLayout::kShared);
     for (NodeId source = 0; source < hg.num_nodes(); source += 4) {
-      const ShortestPathTree expect = Dijkstra(hg, source, len);
-      ws.Grow(view, source, len,
+      const ShortestPathTree expect = ReferenceDijkstra(hg, source, len);
+      ws.Grow(dup, source, len,
               [](const GrowState&) { return GrowAction::kContinue; }, tree);
       ExpectSameTree(expect, tree);
-      ws.Grow(hg, source, len,
+      ws.Grow(shared, source, len,
               [](const GrowState&) { return GrowAction::kContinue; }, tree);
       ExpectSameTree(expect, tree);
     }

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <ostream>
+#include <string>
+
 #include "core/paper_examples.hpp"
 #include "partition/exhaustive.hpp"
 #include "test_util.hpp"
@@ -127,6 +132,53 @@ TEST_P(HypergraphLpPropertyTest, BoundHoldsWithMultiPinNets) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, HypergraphLpPropertyTest,
                          ::testing::Range<std::uint64_t>(1, 9));
+
+// Exact pins of the cutting-plane driver: rounds, generated rows, and the
+// bits of the bound. Every cut row comes from a separation growth, so a
+// change in the oracle's trees, stop points or sweep order moves them.
+// Recorded while the oracle still grew its trees over the Hypergraph
+// itself; the CsrView growth must reproduce them.
+struct LpPin {
+  const char* name;
+  std::size_t rounds;
+  std::size_t cuts;
+  std::uint64_t lower_bound_bits;
+};
+void PrintTo(const LpPin& pin, std::ostream* os) { *os << pin.name; }
+
+class SpreadingLpPinTest : public ::testing::TestWithParam<LpPin> {};
+
+TEST_P(SpreadingLpPinTest, RoundsCutsAndBoundBitsPinned) {
+  const LpPin pin = GetParam();
+  SpreadingLpOptions options;
+  Hypergraph hg;
+  HierarchySpec spec = Figure2Spec();
+  if (std::string(pin.name) == "figure2") {
+    hg = Figure2Graph();
+    options.max_rounds = 300;
+  } else {
+    const std::uint64_t seed = std::string(pin.name) == "random3" ? 3 : 5;
+    hg = testutil::RandomConnectedHypergraph(8, 7, 5, seed);
+    spec = HierarchySpec({{3.0, 2, 1.0}, {5.0, 2, 2.0}, {8.0, 2, 1.0}});
+  }
+  const SpreadingLpResult lp = SolveSpreadingLp(hg, spec, options);
+  ASSERT_EQ(lp.status, LpStatus::kOptimal);
+  EXPECT_TRUE(lp.converged);
+  EXPECT_EQ(lp.rounds, pin.rounds);
+  EXPECT_EQ(lp.cuts, pin.cuts);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(lp.lower_bound),
+            pin.lower_bound_bits)
+      << lp.lower_bound;
+}
+
+INSTANTIATE_TEST_SUITE_P(Instances, SpreadingLpPinTest,
+                         ::testing::Values(
+                             LpPin{"figure2", 19, 288, 4626322717216342046ull},
+                             LpPin{"random3", 44, 316, 4629841154425225208ull},
+                             LpPin{"random5", 53, 377, 4630584248363741358ull}),
+                         [](const auto& case_info) {
+                           return std::string(case_info.param.name);
+                         });
 
 }  // namespace
 }  // namespace htp

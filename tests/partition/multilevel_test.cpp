@@ -24,7 +24,7 @@ TEST(Multilevel, FindsTheBridgeOnTwoClusters) {
   window.min_size0 = 12.0;
   window.max_size0 = 12.0;
   Rng rng(3);
-  MultilevelParams params;
+  VCycleParams params;
   params.coarsest_nodes = 6;
   const Bipartition part = MultilevelBipartition(hg, window, rng, params);
   EXPECT_DOUBLE_EQ(part.cut, 1.0);
@@ -39,7 +39,7 @@ TEST(Multilevel, WindowAlwaysRespected) {
     window.min_size0 = hg.total_size() * 0.4;
     window.max_size0 = hg.total_size() * 0.6;
     Rng rng(seed);
-    MultilevelParams params;
+    VCycleParams params;
     params.coarsest_nodes = 20;
     const Bipartition part = MultilevelBipartition(hg, window, rng, params);
     EXPECT_GE(part.size0, window.min_size0 - 1e-9);

@@ -2,6 +2,8 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <vector>
 
 #include "netlist/hypergraph.hpp"
@@ -57,6 +59,17 @@ inline std::vector<double> BruteForceDistances(
     }
   }
   return dist;
+}
+
+/// FNV-1a 64 over the bit patterns of `values` (a spreading metric's d(e)
+/// per net): equal hashes pin results bit for bit.
+inline std::uint64_t HashBits(const std::vector<double>& values) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (double d : values) {
+    h ^= std::bit_cast<std::uint64_t>(d);
+    h *= 1099511628211ull;
+  }
+  return h;
 }
 
 }  // namespace htp::testutil
